@@ -17,12 +17,6 @@ namespace mrwsn::benchx {
 
 namespace {
 
-struct RoutedFlow {
-  std::vector<net::LinkId> links;
-  double demand_mbps = 0.0;
-  double lp_truth_mbps = 0.0;
-};
-
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
@@ -31,10 +25,11 @@ double seconds_since(Clock::time_point start) {
 
 /// Measure node idle with the sharded CSMA simulator under all flows'
 /// traffic, then score the five estimators on each flow's path against
-/// the LP truth computed by the caller.
+/// the LP truth computed by the caller (`truths`, parallel to `flows`).
 void run_one_mac_mode(const net::Network& network,
                       const core::InterferenceModel& model,
-                      const std::vector<RoutedFlow>& flows,
+                      const std::vector<core::LinkFlow>& flows,
+                      const std::vector<double>& truths,
                       const ScaledFig4Options& options, bool rts,
                       std::ostream& out) {
   mac::MacParams params;
@@ -43,7 +38,8 @@ void run_one_mac_mode(const net::Network& network,
   shard.threads = options.threads;
 
   mac::ParallelCsmaSimulator sim(network, params, shard, options.seed);
-  for (const RoutedFlow& flow : flows) sim.add_flow(flow.links, flow.demand_mbps);
+  for (const core::LinkFlow& flow : flows)
+    sim.add_flow(flow.links, flow.demand_mbps);
   const auto sim_start = Clock::now();
   const mac::SimReport report = sim.run(options.measure_s, options.warmup_s);
   const double wall = seconds_since(sim_start);
@@ -68,7 +64,7 @@ void run_one_mac_mode(const net::Network& network,
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const auto input = core::make_path_estimate_input(
         network, model, flows[i].links, report.node_idle);
-    series.truth.push_back(flows[i].lp_truth_mbps);
+    series.truth.push_back(truths[i]);
     series.e10.push_back(core::estimate_bottleneck_node(input));
     series.e11.push_back(core::estimate_clique_constraint(input));
     series.e12.push_back(core::estimate_min_clique_bottleneck(input));
@@ -102,6 +98,20 @@ void run_one_mac_mode(const net::Network& network,
 }
 
 }  // namespace
+
+std::vector<double> incremental_lp_truths(
+    const core::InterferenceModel& model,
+    const std::vector<core::LinkFlow>& flows) {
+  std::vector<double> truths;
+  std::vector<core::LinkFlow> background;
+  for (const core::LinkFlow& flow : flows) {
+    const auto lp = core::max_path_bandwidth(model, background, flow.links);
+    const double truth = lp.background_feasible ? lp.available_mbps : 0.0;
+    if (truth + 1e-6 >= flow.demand_mbps) background.push_back(flow);
+    truths.push_back(truth);
+  }
+  return truths;
+}
 
 Section52Setup make_scaled_setup(std::uint64_t seed, std::size_t num_nodes,
                                  std::size_t num_flows, double demand_mbps,
@@ -141,29 +151,24 @@ int run_scaled_fig4(const ScaledFig4Options& options, std::ostream& out) {
   // Route every request by hop count and pin the LP ground truth against
   // the background of the flows admitted before it (the incremental
   // Section 5.3 protocol). All flows then load the channel together.
-  std::vector<RoutedFlow> flows;
-  std::vector<core::LinkFlow> background;
+  std::vector<core::LinkFlow> flows;
   const auto lp_start = Clock::now();
   for (const auto& request : setup.requests) {
     const auto path = router.find_path(request.src, request.dst,
                                        routing::Metric::kHopCount, all_idle);
-    if (!path) continue;
-    const auto lp = core::max_path_bandwidth(model, background, path->links());
-    RoutedFlow flow;
-    flow.links = path->links();
-    flow.demand_mbps = request.demand_mbps;
-    flow.lp_truth_mbps = lp.background_feasible ? lp.available_mbps : 0.0;
-    background.push_back(core::LinkFlow{flow.links, flow.demand_mbps});
-    flows.push_back(std::move(flow));
+    if (path) flows.push_back(core::LinkFlow{path->links(), request.demand_mbps});
   }
+  const std::vector<double> truths = incremental_lp_truths(model, flows);
   out << "LP ground truth for " << flows.size() << " flows in "
       << Table::num(seconds_since(lp_start), 2) << " s\n";
 
   if (options.run_without_rts) {
-    run_one_mac_mode(network, model, flows, options, /*rts=*/false, out);
+    run_one_mac_mode(network, model, flows, truths, options, /*rts=*/false,
+                     out);
   }
   if (options.run_with_rts) {
-    run_one_mac_mode(network, model, flows, options, /*rts=*/true, out);
+    run_one_mac_mode(network, model, flows, truths, options, /*rts=*/true,
+                     out);
   }
   return 0;
 }

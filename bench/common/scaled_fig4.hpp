@@ -2,8 +2,11 @@
 
 #include <cstdint>
 #include <ostream>
+#include <vector>
 
 #include "common/experiment.hpp"
+#include "core/available_bandwidth.hpp"
+#include "core/interference.hpp"
 
 namespace mrwsn::benchx {
 
@@ -32,6 +35,14 @@ struct ScaledFig4Options {
 /// idle ratios with the parallel CSMA simulator and print the five
 /// Section-4 estimators against the LP truth. Returns 0 on success.
 int run_scaled_fig4(const ScaledFig4Options& options, std::ostream& out);
+
+/// Eq. 6 LP truth for each flow, in order, against the background of the
+/// flows admitted before it (the Section 5.3 admission protocol): a flow
+/// joins the background only when its truth covers its demand, so a
+/// rejected flow never poisons the truths of the flows after it.
+std::vector<double> incremental_lp_truths(
+    const core::InterferenceModel& model,
+    const std::vector<core::LinkFlow>& flows);
 
 /// Constant-density counterpart of make_section52_setup for the scaled
 /// experiments: `count` nodes via geom::connected_random_density at the

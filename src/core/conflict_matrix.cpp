@@ -172,32 +172,54 @@ void MisCache::clear() {
   entries_.clear();
 }
 
-void PairLimitCache::ensure(std::size_t num_links) const {
-  if (ready_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ready_.load(std::memory_order_relaxed)) return;
-  links_ = num_links;
-  slots_ = std::vector<std::atomic<std::uint32_t>>(num_links * num_links);
-  ready_.store(true, std::memory_order_release);
+void PairLimitCache::reset(std::size_t num_links) {
+  for (auto& row : rows_) delete[] row.load(std::memory_order_relaxed);
+  rows_ = std::vector<std::atomic<Slot*>>(num_links);
+  live_rows_.store(0, std::memory_order_relaxed);
+}
+
+void PairLimitCache::store(std::size_t lo, std::size_t hi,
+                           std::uint32_t value) const {
+  Slot* row = rows_[lo].load(std::memory_order_acquire);
+  if (row == nullptr) {
+    Slot* fresh = new Slot[rows_.size()]();
+    if (rows_[lo].compare_exchange_strong(row, fresh,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+      row = fresh;
+      live_rows_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      delete[] fresh;  // another thread installed the row first
+    }
+  }
+  row[hi].store(value, std::memory_order_relaxed);
 }
 
 void PairLimitCache::invalidate(const std::vector<char>& link_affected,
-                                std::size_t num_links) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!ready_.load(std::memory_order_relaxed)) return;
-  if (num_links != links_) {
-    // Topology churn appended links: the row stride changed, so the whole
-    // table must be re-laid-out (everything resets to kUnset).
-    links_ = num_links;
-    slots_ = std::vector<std::atomic<std::uint32_t>>(num_links * num_links);
+                                std::size_t num_links) {
+  if (num_links != rows_.size()) {
+    // Topology churn appended links: the row length changed, so every row
+    // goes (everything resets to kUnset).
+    reset(num_links);
     return;
   }
-  for (std::size_t a = 0; a < links_; ++a) {
-    if (link_affected.size() <= a || link_affected[a] == 0) continue;
-    for (std::size_t b = 0; b < links_; ++b) {
-      if (a == b) continue;
-      store(std::min(a, b), std::max(a, b), kUnset);
+  std::vector<std::size_t> affected;
+  for (std::size_t link = 0; link < std::min(link_affected.size(), num_links);
+       ++link)
+    if (link_affected[link] != 0) affected.push_back(link);
+  if (affected.empty()) return;
+  for (std::size_t lo = 0; lo < rows_.size(); ++lo) {
+    Slot* row = rows_[lo].load(std::memory_order_relaxed);
+    if (row == nullptr) continue;
+    if (link_affected.size() > lo && link_affected[lo] != 0) {
+      // Every slot of row lo pairs with lo: drop the whole row.
+      delete[] row;
+      rows_[lo].store(nullptr, std::memory_order_relaxed);
+      live_rows_.fetch_sub(1, std::memory_order_relaxed);
+      continue;
     }
+    for (const std::size_t hi : affected)
+      if (hi > lo) row[hi].store(kUnset, std::memory_order_relaxed);
   }
 }
 

@@ -238,20 +238,31 @@ struct ModelCaches {
 /// For a link pair the cumulative-SINR "interferes" answer depends on the
 /// requested rates only through each side's maximum supported rate under
 /// the other's interference — two small integers. This cache stores them
-/// packed in one 32-bit slot per ordered pair, so the full SINR evaluation
-/// (four received powers + two rate scans) runs once per pair, ever.
+/// packed in one 32-bit slot per pair (lo < hi), so the full SINR
+/// evaluation (four received powers + two rate scans) runs once per pair,
+/// ever.
+///
+/// Storage is sized by the pairs it serves: slots live in rows indexed by
+/// `lo`, and a row of num_links zeroed slots is materialised on the first
+/// store into it. A cold model over a large network pays for the rows its
+/// queries touch (touched rows x num_links x 4 B), not for num_links^2.
 ///
 /// Slots are written with relaxed atomics: recomputation is deterministic,
 /// so a racing duplicate write stores the identical value (benign by
 /// construction), which keeps the hot path lock-free for the bounds.cpp
-/// thread fan-out.
+/// thread fan-out. A row is installed by a CAS on its atomic row pointer;
+/// a thread that loses the race frees its block and uses the winner's.
+///
+/// Copying (or moving) yields an empty cache over the same link count.
 class PairLimitCache {
  public:
-  PairLimitCache() = default;
-  PairLimitCache(const PairLimitCache&) {}
-  PairLimitCache(PairLimitCache&&) noexcept {}
-  PairLimitCache& operator=(const PairLimitCache&) { return *this; }
-  PairLimitCache& operator=(PairLimitCache&&) noexcept { return *this; }
+  explicit PairLimitCache(std::size_t num_links) { reset(num_links); }
+  PairLimitCache(const PairLimitCache& other) : PairLimitCache(other.num_links()) {}
+  PairLimitCache& operator=(const PairLimitCache& other) {
+    if (this != &other) reset(other.num_links());
+    return *this;
+  }
+  ~PairLimitCache() { reset(0); }
 
   static constexpr std::uint32_t kUnset = 0;
   static constexpr std::uint32_t kSharesNode = 1;
@@ -266,29 +277,37 @@ class PairLimitCache {
     return kComputed | (enc(limit_lo) << 8) | (enc(limit_hi) << 16);
   }
 
-  /// Allocate num_links^2 zeroed slots on first use (thread-safe).
-  void ensure(std::size_t num_links) const;
+  std::size_t num_links() const { return rows_.size(); }
+
+  /// Rows materialised so far; the memo holds rows() x num_links() slots.
+  std::size_t rows() const { return live_rows_.load(std::memory_order_relaxed); }
 
   /// Forget the memoized limits of every pair touching an affected link
-  /// (their received powers may have changed). When the link count itself
-  /// changed (topology churn appended links) the slot table is re-laid-out
-  /// from scratch. Must not race readers — callers serialize mutations
-  /// against interferes() queries (AdmissionEngine's topology lock).
+  /// (their received powers may have changed), visiting only rows that
+  /// exist. When the link count itself changed (topology churn appended
+  /// links) every row is freed and the row table re-laid-out. Must not race
+  /// readers — callers serialize mutations against interferes() queries
+  /// (AdmissionEngine's topology lock).
   void invalidate(const std::vector<char>& link_affected,
-                  std::size_t num_links) const;
+                  std::size_t num_links);
 
+  /// kUnset when the pair was never stored; never allocates.
   std::uint32_t load(std::size_t lo, std::size_t hi) const {
-    return slots_[lo * links_ + hi].load(std::memory_order_relaxed);
+    const Slot* row = rows_[lo].load(std::memory_order_acquire);
+    return row ? row[hi].load(std::memory_order_relaxed) : kUnset;
   }
-  void store(std::size_t lo, std::size_t hi, std::uint32_t value) const {
-    slots_[lo * links_ + hi].store(value, std::memory_order_relaxed);
-  }
+
+  /// Store a pair's packed limits, materialising row `lo` on first use.
+  void store(std::size_t lo, std::size_t hi, std::uint32_t value) const;
 
  private:
-  mutable std::mutex mu_;
-  mutable std::atomic<bool> ready_{false};
-  mutable std::size_t links_ = 0;
-  mutable std::vector<std::atomic<std::uint32_t>> slots_;
+  using Slot = std::atomic<std::uint32_t>;
+
+  /// Free every row and lay out an empty row table for `num_links` links.
+  void reset(std::size_t num_links);
+
+  mutable std::vector<std::atomic<Slot*>> rows_;  // owning; nullptr = unstored
+  mutable std::atomic<std::size_t> live_rows_{0};
 };
 
 }  // namespace mrwsn::core

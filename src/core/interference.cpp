@@ -50,7 +50,9 @@ void ModelRepair::normalize() {
 }
 
 PhysicalInterferenceModel::PhysicalInterferenceModel(const net::Network& network)
-    : network_(&network), num_nodes_(network.num_nodes()) {
+    : network_(&network),
+      num_nodes_(network.num_nodes()),
+      pair_limits_(network.num_links()) {
   if (num_nodes_ * num_nodes_ <= kMaxEagerPowerEntries) {
     rx_power_.resize(num_nodes_ * num_nodes_);
     for (net::NodeId from = 0; from < num_nodes_; ++from)
@@ -134,7 +136,8 @@ bool PhysicalInterferenceModel::interferes(net::LinkId a, phy::RateIndex ra,
   // pair, ever.
   const net::LinkId lo = std::min(a, b);
   const net::LinkId hi = std::max(a, b);
-  pair_limits_.ensure(num_links());
+  MRWSN_ASSERT(hi < pair_limits_.num_links(),
+               "pair-limit memo out of step with the network (missed repair)");
   std::uint32_t entry = pair_limits_.load(lo, hi);
   if (entry == PairLimitCache::kUnset) {
     if (shares_node(lo, hi)) {

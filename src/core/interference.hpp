@@ -199,6 +199,11 @@ class PhysicalInterferenceModel final : public InterferenceModel {
 
   const net::Network& network() const { return *network_; }
 
+  /// Rows of the pair-limit memo materialised so far (0 on a fresh or
+  /// copied model). Each row holds num_links() 4-byte slots, so the memo
+  /// occupies pair_limit_rows() x num_links() x 4 B.
+  std::size_t pair_limit_rows() const { return pair_limits_.rows(); }
+
   /// Received power at node `at` from node `from`, served from the eager
   /// per-node-pair cache built at construction (falls back to the network
   /// for pathologically large node counts).

@@ -2,12 +2,15 @@
 // racing commit()/evict() must return answers consistent with a single
 // published epoch (never a torn mix of pre- and post-commit state), the
 // published snapshot must be immutable once handed out, and EnginePool
-// must build exactly one engine per key under concurrent acquires.
+// must build exactly one engine per key under concurrent acquires. The
+// physical model's pair-limit memo must answer exactly like a sequential
+// model while threads race to materialise its rows.
 //
 // This binary is also the ThreadSanitizer target for the concurrent
 // admission path (tools/run_sanitized.sh builds it in the TSan tree).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <map>
@@ -19,6 +22,7 @@
 #include "core/topology_delta.hpp"
 #include "geom/topology.hpp"
 #include "net/network.hpp"
+#include "util/rng.hpp"
 
 namespace mrwsn::core {
 namespace {
@@ -427,6 +431,51 @@ TEST(SnapshotIsolation, ShelfCapacityDropsOverflowAndCounts) {
   EXPECT_LE(tight.snapshot_read_stats().shelved_columns, 1u);
   EXPECT_GT(roomy.snapshot_read_stats().shelved_columns,
             tight.snapshot_read_stats().shelved_columns);
+}
+
+TEST(PairLimitMemo, RacingRowInstallsMatchASequentialModel) {
+  // The bounds.cpp fan-out shape: threads query one fresh model over
+  // overlapping link pairs, so first-touch installs of the same rows race.
+  Rng rng(7);
+  const phy::PhyModel phy = phy::PhyModel::paper_default();
+  const net::Network net(
+      geom::connected_random_density(60, phy.max_tx_range(), 10.0, rng), phy);
+  const std::size_t links = std::min<std::size_t>(net.num_links(), 64);
+  const std::size_t rates = phy.rates().size();
+  const auto answers = [&](const PhysicalInterferenceModel& model,
+                           bool reversed) {
+    std::vector<char> out(links * links * rates * rates, 0);
+    for (std::size_t i = 0; i < links; ++i) {
+      const net::LinkId a = reversed ? links - 1 - i : i;
+      for (net::LinkId b = 0; b < links; ++b) {
+        if (a == b) continue;
+        for (phy::RateIndex ra = 0; ra < rates; ++ra)
+          for (phy::RateIndex rb = 0; rb < rates; ++rb)
+            out[((a * links + b) * rates + ra) * rates + rb] =
+                model.interferes(a, ra, b, rb);
+      }
+    }
+    return out;
+  };
+  const std::vector<char> expected =
+      answers(PhysicalInterferenceModel(net), false);
+
+  const PhysicalInterferenceModel shared(net);
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<char>> got(kThreads);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      got[t] = answers(shared, t % 2 == 1);
+    });
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t)
+    EXPECT_EQ(got[t], expected) << "thread " << t;
+  EXPECT_LE(shared.pair_limit_rows(), links);
 }
 
 TEST(EnginePool, BuildsOncePerKeyUnderConcurrentAcquire) {

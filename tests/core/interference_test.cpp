@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/estimation.hpp"
 #include "core/scenarios.hpp"
 #include "geom/topology.hpp"
+#include "routing/qos_router.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace mrwsn::core {
 namespace {
@@ -142,6 +145,47 @@ TEST(PhysicalModel, RejectsUnknownLinks) {
   PhysicalInterferenceModel model(net);
   EXPECT_THROW(model.maximal_independent_sets(std::vector<net::LinkId>{99}),
                PreconditionError);
+}
+
+TEST(PhysicalModel, PairLimitMemoGrowsOnlyWithTheRowsItServes) {
+  // A cold model over a large network must not pay num_links^2 for the
+  // few pairs one path's estimators ask about.
+  Rng rng(12);
+  const phy::PhyModel phy = phy::PhyModel::paper_default();
+  const net::Network net(
+      geom::connected_random_density(300, phy.max_tx_range(), 12.0, rng), phy);
+  const PhysicalInterferenceModel model(net);
+  EXPECT_EQ(model.pair_limit_rows(), 0u);
+
+  const routing::QosRouter router(net, model);
+  const std::vector<double> idle(net.num_nodes(), 1.0);
+  const auto path = router.find_path(0, 299, routing::Metric::kHopCount, idle);
+  ASSERT_TRUE(path.has_value());
+  ASSERT_GE(path->hop_count(), 2u);
+  make_path_estimate_input(net, model, path->links(), idle);
+  EXPECT_GT(model.pair_limit_rows(), 0u);
+  EXPECT_LE(model.pair_limit_rows(), path->hop_count());
+
+  // Partially materialised storage answers exactly like a fresh model, for
+  // pairs inside the touched rows and outside them.
+  const PhysicalInterferenceModel fresh(net);
+  const std::size_t rates = model.rate_table().size();
+  std::vector<net::LinkId> probe(path->links().begin(), path->links().end());
+  for (net::LinkId link = 0; link < net.num_links(); link += 97)
+    probe.push_back(link);
+  for (const net::LinkId a : probe)
+    for (const net::LinkId b : probe) {
+      if (a == b) continue;
+      for (phy::RateIndex ra = 0; ra < rates; ++ra)
+        for (phy::RateIndex rb = 0; rb < rates; ++rb)
+          ASSERT_EQ(model.interferes(a, ra, b, rb), fresh.interferes(a, ra, b, rb))
+              << "links " << a << "," << b;
+    }
+  EXPECT_LT(model.pair_limit_rows(), net.num_links());
+
+  // Copies start with an empty memo.
+  const PhysicalInterferenceModel copy(model);
+  EXPECT_EQ(copy.pair_limit_rows(), 0u);
 }
 
 // ---------------------------------------------------------------- protocol

@@ -19,7 +19,13 @@
 //     from the patched PricingContext memos,
 //   * supports()/max_rate_vector on random candidate sets.
 //
-// A third family replays mutation sequences through AdmissionEngine
+// A second physical family warms only a few pair-limit memo rows (the
+// shape of per-path estimator queries on a large network) before each
+// mutation, so repair meets partially materialised storage — including a
+// join that grows num_links — and reads the touched rows back against a
+// rebuilt model.
+//
+// A further family replays mutation sequences through AdmissionEngine
 // (apply_topology_delta) and holds the repaired background master to 1e-6
 // LP-objective parity against a cold engine on the mutated scenario.
 //
@@ -49,7 +55,7 @@ namespace mrwsn::core {
 namespace {
 
 std::size_t seeds_per_family() {
-  constexpr std::size_t kSeedsPerFamily = 170;  // 3 families -> 510 sequences
+  constexpr std::size_t kSeedsPerFamily = 170;  // 4 families -> 680 sequences
   if (const char* env = std::getenv("MRWSN_FUZZ_SEEDS")) {
     const long parsed = std::strtol(env, nullptr, 10);
     if (parsed > 0) return static_cast<std::size_t>(parsed);
@@ -236,6 +242,99 @@ TEST(TopologyDeltaFuzz, PhysicalMutateMatchesRebuild) {
           << "seed " << seed << " step " << step;
     }
   }
+}
+
+/// Exact interferes() parity against a model rebuilt over `network`, for
+/// every ordered pair of distinct `probe` links at every rate pair.
+void expect_interferes_parity(const net::Network& network,
+                              const PhysicalInterferenceModel& patched,
+                              const std::vector<net::LinkId>& probe) {
+  const PhysicalInterferenceModel fresh(network);
+  const std::size_t num_rates = fresh.rate_table().size();
+  for (const net::LinkId a : probe)
+    for (const net::LinkId b : probe) {
+      if (a == b) continue;
+      for (phy::RateIndex ra = 0; ra < num_rates; ++ra)
+        for (phy::RateIndex rb = 0; rb < num_rates; ++rb)
+          ASSERT_EQ(patched.interferes(a, ra, b, rb),
+                    fresh.interferes(a, ra, b, rb))
+              << "links " << a << "," << b << " rates " << ra << "," << rb;
+    }
+}
+
+TEST(TopologyDeltaFuzz, PartialPairLimitMemoMatchesRebuild) {
+  const std::size_t seeds = seeds_per_family();
+  std::size_t partial_repairs = 0;  // invalidate() met some but not all rows
+  std::size_t growing_joins = 0;    // a join appended links to warm storage
+  for (std::size_t seed = 0; seed < seeds; ++seed) {
+    Rng rng(0x70617274ULL + seed);
+    const std::size_t num_nodes = 10 + rng.uniform_int(0, 4);
+    net::Network network = random_network(rng, num_nodes);
+    if (network.num_links() < 4) continue;  // degenerate placement
+    PhysicalInterferenceModel model(network);
+    TopologyDelta delta(&network, &model);
+
+    std::size_t alive = num_nodes;
+    const std::size_t mutations = 5 + rng.uniform_int(0, 3);
+    for (std::size_t step = 0; step < mutations; ++step) {
+      // Warm the rows of a few links only.
+      std::vector<net::LinkId> probe =
+          random_sub_universe(rng, network.num_links(), 4);
+      for (const net::LinkId a : probe)
+        for (const net::LinkId b : probe)
+          if (a != b) model.interferes(a, 0, b, 0);
+      const std::size_t rows = model.pair_limit_rows();
+      const std::size_t links_before = network.num_links();
+      if (rows > 0 && rows < links_before) ++partial_repairs;
+
+      // The first mutation is always a join so every sequence re-lays the
+      // storage out at least once (when the new node gains links).
+      const std::uint64_t op = step == 0 ? 9 : rng.uniform_int(0, 9);
+      ModelRepair repair;
+      if (op < 3) {
+        net::NodeId node = rng.uniform_int(0, network.num_nodes() - 1);
+        while (!network.node(node).alive)
+          node = rng.uniform_int(0, network.num_nodes() - 1);
+        const geom::Point at = network.node(node).position;
+        repair = delta.move_node(node, {at.x + rng.uniform(-40.0, 40.0),
+                                        at.y + rng.uniform(-40.0, 40.0)});
+      } else if (op < 5) {
+        net::NodeId node = rng.uniform_int(0, network.num_nodes() - 1);
+        while (!network.node(node).alive)
+          node = rng.uniform_int(0, network.num_nodes() - 1);
+        repair = delta.set_power(
+            node, network.phy().tx_power_watt() * rng.uniform(0.4, 2.5));
+      } else if (op < 7) {
+        const net::LinkId link = rng.uniform_int(0, network.num_links() - 1);
+        repair = delta.set_rate(
+            link, rng.uniform_int(0, network.phy().rates().size() - 1));
+      } else if (op < 8 && alive > 3) {
+        net::NodeId node = rng.uniform_int(0, network.num_nodes() - 1);
+        while (!network.node(node).alive)
+          node = rng.uniform_int(0, network.num_nodes() - 1);
+        repair = delta.remove_node(node);
+        --alive;
+      } else {
+        repair = delta.add_node(
+            {rng.uniform(0.0, kArenaSide), rng.uniform(0.0, kArenaSide)});
+        ++alive;
+      }
+      if (network.num_links() != links_before) {
+        EXPECT_EQ(model.pair_limit_rows(), 0u);
+        if (rows > 0) ++growing_joins;
+      }
+
+      // Read the warmed rows back, including their slots in the columns of
+      // the links this mutation affected.
+      for (std::size_t i = 0; i < repair.links.size() && i < 4; ++i)
+        probe.push_back(repair.links[rng.uniform_int(0, repair.links.size() - 1)]);
+      ASSERT_NO_FATAL_FAILURE(
+          expect_interferes_parity(network, model, canonical_universe(probe)))
+          << "seed " << seed << " step " << step;
+    }
+  }
+  EXPECT_GT(partial_repairs, 0u);
+  EXPECT_GT(growing_joins, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,15 +7,20 @@
 #include <fstream>
 #include <sstream>
 
+#include <unistd.h>
+
 namespace mrwsn::cli {
 namespace {
 
-/// A scenario file on disk, deleted at scope exit.
+/// A scenario file on disk, deleted at scope exit. The name carries the
+/// pid: `ctest -j` runs each discovered test in its own process, and every
+/// process's counter starts at 0.
 class TempScenario {
  public:
   explicit TempScenario(const std::string& contents) {
     path_ = std::string(::testing::TempDir()) + "cli_test_scenario_" +
-            std::to_string(counter_++) + ".txt";
+            std::to_string(::getpid()) + "_" + std::to_string(counter_++) +
+            ".txt";
     std::ofstream(path_) << contents;
   }
   ~TempScenario() { std::remove(path_.c_str()); }
