@@ -915,10 +915,11 @@ void BM_EventQueueChurn(benchmark::State& state) {
 BENCHMARK(BM_EventQueueChurn);
 
 // The sharded parallel CSMA engine on a 500-node constant-density
-// topology, one simulated second, at 1 worker vs 8 workers. The arg is
+// topology, one simulated second, at 1, 2, 4 and 8 workers. The arg is
 // the thread count; the topology, flows and seed are identical (and so,
-// by the determinism guarantee, are the reports). Real time matters
-// here, not CPU time: 8 workers burn more CPU to finish sooner.
+// by the determinism guarantee, are the reports). One worker runs one
+// region; more workers run the auto grid. Real time matters here, not CPU
+// time: more workers burn more CPU to finish sooner.
 struct ParallelBenchSetup {
   benchx::Section52Setup setup;
   std::vector<std::vector<net::LinkId>> paths;
@@ -959,6 +960,8 @@ void BM_CsmaParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_CsmaParallel)
     ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

@@ -72,6 +72,7 @@ EventQueue::RunEnd EventQueue::run_loop(double until, bool inclusive) {
     --live_;
     pop_entry();
     now_ = top.when;
+    ++executed_;
     fn();
   }
   // The clock always lands on `until`, even when the queue emptied

@@ -202,6 +202,9 @@ class EventQueue {
 
   std::size_t pending() const { return live_; }
 
+  /// Events fired so far (cancelled events excluded).
+  std::uint64_t executed() const { return executed_; }
+
   /// Timestamp of the earliest pending event, or +infinity when empty.
   /// Prunes surfaced tombstones as a side effect.
   double next_time();
@@ -238,6 +241,7 @@ class EventQueue {
   double now_ = 0.0;
   std::uint64_t fifo_seq_ = 0;
   std::size_t live_ = 0;
+  std::uint64_t executed_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<Entry> heap_;

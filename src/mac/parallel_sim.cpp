@@ -43,8 +43,11 @@ enum class FrameKind : std::uint8_t { kData, kRts, kCts };
 /// A time-stamped cross-node effect. Sized so that {owner pointer,
 /// Message} fits SmallFn's inline buffer: applying a message never
 /// allocates. Field reuse by type:
-///   kSignalOn:   a = received power at target
-///   kSignalOff:  a = NAV reservation end (0 = none), b = received power
+///   kSignalOn:   link/flow = [lo, hi), a run of the origin's neighbour
+///                row (all in target's region; target = the run's first
+///                node)
+///   kSignalOff:  the same run; a = NAV reservation end (0 = none),
+///                hop = the peer the reservation skips (kNoNode = none)
 ///   kFrameStart: a = created_at (DATA) / planned DATA airtime (RTS),
 ///                b = received signal power; link/flow/hop/rate as named
 ///   kHandoff:    a = created_at; target is a link id, not a node id
@@ -107,17 +110,20 @@ struct FlowTally {
 template <typename Owner>
 class ShardCore {
  public:
-  ShardCore(Owner& owner, std::size_t regions, std::size_t threads,
-            double latency_s)
+  ShardCore(Owner& owner, std::size_t regions, const ShardParams& shard)
       : owner_(owner),
         regions_(regions),
-        latency_(latency_s),
-        pool_(threads),
+        latency_(shard.latency_s),
+        pool_(shard.threads),
         queues_(regions),
         outbox_(regions * regions),
         min_emit_(regions, {kInf, kInf}),
-        next_times_(regions, kInf) {
+        next_times_(regions, kInf),
+        posted_(regions, {0, 0}) {
     MRWSN_REQUIRE(latency_ > 0.0, "cross-node latency must be positive");
+    MRWSN_REQUIRE(std::isfinite(shard.interaction_floor) &&
+                      shard.interaction_floor >= 0.0,
+                  "interaction floor must be finite and non-negative");
     task_ = [this](std::size_t worker) {
       const auto [lo, hi] = pool_.block(worker, regions_);
       for (std::size_t r = lo; r < hi; ++r) run_region(r);
@@ -144,6 +150,7 @@ class ShardCore {
   /// effect time, so locality never shows in the execution order.
   void post(std::uint32_t src, const Message& msg) {
     const std::uint32_t dst = owner_.target_region(msg);
+    ++posted_[src][dst == src ? 0 : 1];
     if (dst == src) {
       apply(msg);
       return;
@@ -173,6 +180,18 @@ class ShardCore {
 
   util::WorkerPool& pool() { return pool_; }
 
+  /// Windows, events and messages so far; the owner adds its own counts.
+  ShardStats stats() const {
+    ShardStats out;
+    out.windows = window_;
+    for (std::size_t r = 0; r < regions_; ++r) {
+      out.events += queues_[r].executed();
+      out.local_messages += posted_[r][0];
+      out.cross_messages += posted_[r][1];
+    }
+    return out;
+  }
+
  private:
   void run_region(std::size_t r) {
     min_emit_[r][parity_] = kInf;
@@ -196,6 +215,7 @@ class ShardCore {
   std::vector<std::array<std::vector<Message>, 2>> outbox_;  // [src*R+dst]
   std::vector<std::array<double, 2>> min_emit_;              // by src region
   std::vector<double> next_times_;                           // by region
+  std::vector<std::array<std::uint64_t, 2>> posted_;  // by src: local, cross
   std::function<void(std::size_t)> task_;
   std::uint64_t window_ = 0;
   std::size_t parity_ = 0;
@@ -261,11 +281,22 @@ std::vector<FlowStats> merge_flow_tallies(
   return out;
 }
 
+/// Resolves threads = 0 once, so the worker pool and the partition agree.
+ShardParams resolve_threads(ShardParams shard) {
+  if (shard.threads == 0) shard.threads = util::configured_threads();
+  return shard;
+}
+
+/// An explicit grid is taken as given. Grid 0 is one region on one thread
+/// (a window then runs one queue and no outboxes; more regions would only
+/// add barrier work with nothing running beside it) and the auto grid
+/// otherwise.
 GridPartition resolve_partition(const net::Network& network,
                                 const ShardParams& shard) {
-  if (shard.grid_x == 0 || shard.grid_y == 0)
-    return auto_grid_partition(network);
-  return make_grid_partition(network, shard.grid_x, shard.grid_y);
+  if (shard.grid_x != 0 && shard.grid_y != 0)
+    return make_grid_partition(network, shard.grid_x, shard.grid_y);
+  if (shard.threads == 1) return make_grid_partition(network, 1, 1);
+  return auto_grid_partition(network);
 }
 
 }  // namespace
@@ -333,10 +364,19 @@ struct ParallelCsmaSimulator::Impl {
     double power = 0.0;  ///< received power at `node` from the row's owner
   };
 
+  /// A maximal stretch [lo, hi) of a neighbour row whose nodes share one
+  /// region; the target of one signal-edge message.
+  struct Run {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+  };
+
   struct RegionStats {
     std::uint64_t data_transmissions = 0;
     std::uint64_t failed_receptions = 0;
     std::uint64_t control_failures = 0;
+    std::uint64_t frames = 0;
+    std::uint64_t signal_messages = 0;
   };
 
   const net::Network& network;
@@ -351,8 +391,10 @@ struct ParallelCsmaSimulator::Impl {
   std::vector<ArfState> arf;               // by link id; owner: link.tx
   std::vector<double> link_rx_power;       // by link id
   std::vector<double> rate_airtime;        // DATA airtime by rate index
-  std::vector<Neighbor> neighbors;         // CSR payload
+  std::vector<Neighbor> neighbors;  // CSR payload; rows grouped by region
   std::vector<std::uint32_t> neighbor_start;  // CSR offsets, size N+1
+  std::vector<Run> runs;                      // per row, regions ascending
+  std::vector<std::uint32_t> run_start;       // CSR offsets, size N+1
   std::vector<std::vector<FlowTally>> tallies;  // [region][flow]
   std::vector<RegionStats> stats;               // [region]
   double base_sensitivity = 0.0;
@@ -363,10 +405,10 @@ struct ParallelCsmaSimulator::Impl {
   Impl(const net::Network& net, MacParams p, ShardParams s, std::uint64_t sd)
       : network(net),
         params(p),
-        shard(s),
+        shard(resolve_threads(s)),
         seed(sd),
-        part(resolve_partition(net, s)),
-        core(*this, part.num_regions(), s.threads, s.latency_s) {
+        part(resolve_partition(net, shard)),
+        core(*this, part.num_regions(), shard) {
     const std::size_t n = network.num_nodes();
     nodes.resize(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -407,6 +449,33 @@ struct ParallelCsmaSimulator::Impl {
       }
     }
     neighbor_start[n] = static_cast<std::uint32_t>(neighbors.size());
+
+    // Group each row by destination region, in place and stable (node
+    // order survives inside a region), and record one run per region the
+    // row reaches: a signal edge then posts one message per run.
+    run_start.assign(n + 1, 0);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      run_start[i] = static_cast<std::uint32_t>(runs.size());
+      std::stable_sort(neighbors.begin() + neighbor_start[i],
+                       neighbors.begin() + neighbor_start[i + 1],
+                       [&](const Neighbor& x, const Neighbor& y) {
+                         return part.region_of_node[x.node] <
+                                part.region_of_node[y.node];
+                       });
+      for (std::uint32_t lo = neighbor_start[i]; lo < neighbor_start[i + 1];) {
+        const std::uint32_t region = region_of_neighbor(lo);
+        std::uint32_t hi = lo + 1;
+        while (hi < neighbor_start[i + 1] && region_of_neighbor(hi) == region)
+          ++hi;
+        runs.push_back(Run{lo, hi});
+        lo = hi;
+      }
+    }
+    run_start[n] = static_cast<std::uint32_t>(runs.size());
+  }
+
+  std::uint32_t region_of_neighbor(std::uint32_t index) const {
+    return part.region_of_node[neighbors[index].node];
   }
 
   // ------------------------------------------------------- shard glue
@@ -431,19 +500,34 @@ struct ParallelCsmaSimulator::Impl {
   }
 
   // ------------------------------------------------------- emissions
-  void emit_signal_on(std::uint32_t n, double now) {
-    const double effect = now + shard.latency_s;
+  /// Post one signal edge to every region node `n`'s row reaches. Each
+  /// run's message takes the sequence number its first node had in the
+  /// row, and the row's whole length is consumed, so seqs stay distinct
+  /// and per-origin monotone exactly as with one message per neighbour.
+  void emit_signal(std::uint32_t n, double now, MsgType type,
+                   double nav_until, std::uint32_t exclude) {
     const std::uint32_t src = part.region_of_node[n];
-    for (std::uint32_t i = neighbor_start[n]; i < neighbor_start[n + 1]; ++i) {
+    const std::uint64_t base = nodes[n].seq;
+    for (std::uint32_t r = run_start[n]; r < run_start[n + 1]; ++r) {
       Message msg;
-      msg.type = MsgType::kSignalOn;
-      msg.effect_s = effect;
+      msg.type = type;
+      msg.effect_s = now + shard.latency_s;
       msg.origin = n;
-      msg.seq = nodes[n].seq++;
-      msg.target = neighbors[i].node;
-      msg.a = neighbors[i].power;
+      msg.seq = base + (runs[r].lo - neighbor_start[n]);
+      msg.target = neighbors[runs[r].lo].node;
+      msg.link = runs[r].lo;
+      msg.flow = runs[r].hi;
+      msg.a = nav_until;
+      msg.hop = exclude;
       core.post(src, msg);
     }
+    nodes[n].seq = base + (neighbor_start[n + 1] - neighbor_start[n]);
+    stats[src].signal_messages += run_start[n + 1] - run_start[n];
+  }
+
+  void emit_signal_on(std::uint32_t n, double now) {
+    ++stats_at(n).frames;
+    emit_signal(n, now, MsgType::kSignalOn, 0.0, kNoNode);
   }
 
   /// `nav_until` > 0 reserves the channel at third parties that can
@@ -451,23 +535,7 @@ struct ParallelCsmaSimulator::Impl {
   /// `exclude` (the addressed peer) never gets the reservation.
   void emit_signal_off(std::uint32_t n, double now, double nav_until,
                        std::uint32_t exclude) {
-    const double effect = now + shard.latency_s;
-    const std::uint32_t src = part.region_of_node[n];
-    for (std::uint32_t i = neighbor_start[n]; i < neighbor_start[n + 1]; ++i) {
-      const Neighbor& nb = neighbors[i];
-      Message msg;
-      msg.type = MsgType::kSignalOff;
-      msg.effect_s = effect;
-      msg.origin = n;
-      msg.seq = nodes[n].seq++;
-      msg.target = nb.node;
-      msg.b = nb.power;
-      if (nav_until > 0.0 && nb.node != exclude &&
-          nb.power >= base_sensitivity) {
-        msg.a = nav_until;
-      }
-      core.post(src, msg);
-    }
+    emit_signal(n, now, MsgType::kSignalOff, nav_until, exclude);
   }
 
   void emit_frame_start(std::uint32_t n, double now, FrameKind kind,
@@ -494,14 +562,24 @@ struct ParallelCsmaSimulator::Impl {
 
   /// Received power at `to` from `from` — the cached neighborhood value
   /// when present (bit-identical to what SignalOn/Off deliver), the PHY
-  /// directly for sub-floor pairs.
+  /// directly for sub-floor pairs. Searches the run of `to`'s region,
+  /// which is sorted by node.
   double power_between(std::uint32_t from, std::uint32_t to) const {
-    const Neighbor* lo = neighbors.data() + neighbor_start[from];
-    const Neighbor* hi = neighbors.data() + neighbor_start[from + 1];
-    const Neighbor* it = std::lower_bound(
-        lo, hi, to,
-        [](const Neighbor& nb, std::uint32_t node) { return nb.node < node; });
-    if (it != hi && it->node == to) return it->power;
+    const std::uint32_t region = part.region_of_node[to];
+    const Run* first = runs.data() + run_start[from];
+    const Run* last = runs.data() + run_start[from + 1];
+    const Run* run = std::lower_bound(
+        first, last, region, [&](const Run& r, std::uint32_t reg) {
+          return region_of_neighbor(r.lo) < reg;
+        });
+    if (run != last && region_of_neighbor(run->lo) == region) {
+      const Neighbor* lo = neighbors.data() + run->lo;
+      const Neighbor* hi = neighbors.data() + run->hi;
+      const Neighbor* it = std::lower_bound(
+          lo, hi, to,
+          [](const Neighbor& nb, std::uint32_t node) { return nb.node < node; });
+      if (it != hi && it->node == to) return it->power;
+    }
     return network.received_power(from, to);
   }
 
@@ -830,27 +908,41 @@ struct ParallelCsmaSimulator::Impl {
     }
   }
 
+  // A signal message covers one run, applied node by node in row order.
+  // That is the order one event per neighbour would run in: same-time,
+  // same-class events order by (origin, seq), the run's seqs are
+  // consecutive, and nothing a node's update schedules lands at the same
+  // instant (every MAC delay is positive), so no other event could fall
+  // between two nodes of the run.
   void on_signal_on(const Message& msg) {
-    NodeState& node = nodes[msg.target];
-    node.view_power += msg.a;
-    ++node.view_count;
-    for (Reception& rec : node.pending) {
-      // The subtraction can dip a hair below zero from accumulated
-      // rounding in view_power when the frame's own signal dominates the
-      // sum; clamp — the residue is pure float drift, not interference.
-      rec.max_interference_watt =
-          std::max(rec.max_interference_watt,
-                   std::max(0.0, node.view_power - rec.signal_watt));
+    for (std::uint32_t i = msg.link; i < msg.flow; ++i) {
+      const Neighbor& nb = neighbors[i];
+      NodeState& node = nodes[nb.node];
+      node.view_power += nb.power;
+      ++node.view_count;
+      for (Reception& rec : node.pending) {
+        // The subtraction can dip a hair below zero from accumulated
+        // rounding in view_power when the frame's own signal dominates the
+        // sum; clamp — the residue is pure float drift, not interference.
+        rec.max_interference_watt =
+            std::max(rec.max_interference_watt,
+                     std::max(0.0, node.view_power - rec.signal_watt));
+      }
+      evaluate(nb.node);
     }
-    evaluate(msg.target);
   }
 
   void on_signal_off(const Message& msg) {
-    NodeState& node = nodes[msg.target];
-    node.view_power -= msg.b;
-    if (--node.view_count == 0) node.view_power = 0.0;
-    if (msg.a > 0.0 && node.own_on_air == 0) set_nav(msg.target, msg.a);
-    evaluate(msg.target);
+    for (std::uint32_t i = msg.link; i < msg.flow; ++i) {
+      const Neighbor& nb = neighbors[i];
+      NodeState& node = nodes[nb.node];
+      node.view_power -= nb.power;
+      if (--node.view_count == 0) node.view_power = 0.0;
+      if (msg.a > 0.0 && nb.node != msg.hop && nb.power >= base_sensitivity &&
+          node.own_on_air == 0)
+        set_nav(nb.node, msg.a);
+      evaluate(nb.node);
+    }
   }
 
   void on_frame_start(const Message& msg) {
@@ -1032,6 +1124,15 @@ struct ParallelCsmaSimulator::Impl {
         merge_flow_tallies(flows, tallies, duration_s, params.payload_bits);
     return report;
   }
+
+  ShardStats shard_stats() const {
+    ShardStats out = core.stats();
+    for (const RegionStats& region : stats) {
+      out.frames += region.frames;
+      out.signal_messages += region.signal_messages;
+    }
+    return out;
+  }
 };
 
 ParallelCsmaSimulator::ParallelCsmaSimulator(const net::Network& network,
@@ -1055,6 +1156,10 @@ void ParallelCsmaSimulator::add_flow(std::vector<net::LinkId> path_links,
 
 SimReport ParallelCsmaSimulator::run(double duration_s, double warmup_s) {
   return impl_->run(duration_s, warmup_s);
+}
+
+ShardStats ParallelCsmaSimulator::stats() const {
+  return impl_->shard_stats();
 }
 
 // ===================================================================
@@ -1103,9 +1208,9 @@ struct ParallelTdmaSimulator::Impl {
       : network(net),
         schedule(std::move(sched)),
         params(p),
-        shard(s),
-        part(resolve_partition(net, s)),
-        core(*this, part.num_regions(), s.threads, s.latency_s),
+        shard(resolve_threads(s)),
+        part(resolve_partition(net, shard)),
+        core(*this, part.num_regions(), shard),
         seed(sd) {
     MRWSN_REQUIRE(params.frame_s > 0.0, "frame length must be positive");
     const core::ScheduleCheck check = core::verify_schedule(model, schedule);
@@ -1320,6 +1425,12 @@ struct ParallelTdmaSimulator::Impl {
         merge_flow_tallies(flows, tallies, duration_s, params.payload_bits);
     return report;
   }
+
+  ShardStats shard_stats() const {
+    ShardStats out = core.stats();
+    for (std::uint64_t tx : data_transmissions) out.frames += tx;
+    return out;
+  }
 };
 
 ParallelTdmaSimulator::ParallelTdmaSimulator(
@@ -1344,6 +1455,10 @@ void ParallelTdmaSimulator::add_flow(std::vector<net::LinkId> path_links,
 
 SimReport ParallelTdmaSimulator::run(double duration_s, double warmup_s) {
   return impl_->run(duration_s, warmup_s);
+}
+
+ShardStats ParallelTdmaSimulator::stats() const {
+  return impl_->shard_stats();
 }
 
 }  // namespace mrwsn::mac

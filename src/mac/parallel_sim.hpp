@@ -20,8 +20,12 @@ namespace mrwsn::mac {
 /// frame handed to the next hop), which is what gives every region a
 /// guaranteed lookahead. grid/thread choices are pure performance knobs —
 /// SimReport is bit-identical across all of them.
+///
+/// A grid of 0 on either axis picks the partition from the resolved thread
+/// count: one region when the simulator runs on one thread (regions only
+/// pay off when they run in parallel), auto_grid_partition otherwise.
 struct ShardParams {
-  std::size_t grid_x = 0;  ///< 0: auto-size cells by carrier-sense range
+  std::size_t grid_x = 0;  ///< 0: one region at one thread, else auto
   std::size_t grid_y = 0;
   std::size_t threads = 0;  ///< 0: util::configured_threads()
 
@@ -33,8 +37,25 @@ struct ShardParams {
   /// Signals weaker than this fraction of the noise floor are not
   /// propagated at all (they could never move a carrier-sense or SINR
   /// decision by a measurable amount). Bounds per-transmission fan-out on
-  /// large topologies; identical for every partitioning.
+  /// large topologies; identical for every partitioning. Must be finite
+  /// and non-negative.
   double interaction_floor = 0.01;
+};
+
+/// Execution counters of one sharded run, summed over regions. They
+/// describe how the work was split, so unlike SimReport they legitimately
+/// depend on the grid and thread count — which is why they are kept out of
+/// SimReport.
+struct ShardStats {
+  std::uint64_t windows = 0;  ///< lookahead windows run
+  std::uint64_t events = 0;   ///< events executed by all region queues
+  /// Frames put on the air: CSMA DATA/RTS/CTS/ACK, TDMA data packets.
+  std::uint64_t frames = 0;
+  /// CSMA signal-edge messages posted: one per region a transmitter's
+  /// interaction neighbourhood reaches, per edge (not one per neighbour).
+  std::uint64_t signal_messages = 0;
+  std::uint64_t local_messages = 0;  ///< messages posted inside their region
+  std::uint64_t cross_messages = 0;  ///< messages parked for another region
 };
 
 /// Region-parallel counterpart of CsmaSimulator: the same DCF model
@@ -49,6 +70,12 @@ struct ShardParams {
 /// key and queues order events by (time, key), so the execution order —
 /// and therefore SimReport, bit for bit — is independent of the grid shape
 /// and thread count. See DESIGN.md §11.
+///
+/// Fan-out: each node's interaction neighbourhood is stored grouped by
+/// destination region, so a signal edge posts one message per region it
+/// reaches and that message applies the edge to every neighbour of the
+/// region in node order — the order separate per-neighbour events would
+/// have run in.
 class ParallelCsmaSimulator {
  public:
   ParallelCsmaSimulator(const net::Network& network, MacParams params,
@@ -65,6 +92,9 @@ class ParallelCsmaSimulator {
   /// the final `duration_s`. May be called once per simulator. Events are
   /// processed on the half-open interval [0, warmup_s + duration_s).
   SimReport run(double duration_s, double warmup_s = 0.5);
+
+  /// Counters of the work done so far (all zero before run()).
+  ShardStats stats() const;
 
  private:
   struct Impl;
@@ -92,6 +122,9 @@ class ParallelTdmaSimulator {
   void add_flow(std::vector<net::LinkId> path_links, double demand_mbps);
 
   SimReport run(double duration_s, double warmup_s = 0.1);
+
+  /// Counters of the work done so far (all zero before run()).
+  ShardStats stats() const;
 
  private:
   struct Impl;

@@ -2,14 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <vector>
 
+#include "common/scaled_fig4.hpp"
 #include "core/available_bandwidth.hpp"
 #include "core/interference.hpp"
 #include "geom/topology.hpp"
 #include "mac/partition.hpp"
+#include "routing/qos_router.hpp"
+#include "util/error.hpp"
 
 namespace mrwsn::mac {
 namespace {
@@ -237,6 +243,132 @@ TEST(ParallelCsma, LightLoadDeliversDemand) {
   EXPECT_EQ(report.flows[0].dropped_packets, 0u);
 }
 
+TEST(ParallelCsma, Fig4ShapeIsShardingInvariant) {
+  // The scaled Fig. 4 topology (500 nodes, hop-routed flows) at a short
+  // simulated time. Rows here reach several regions, so signal runs
+  // straddle region boundaries, and with RTS on a CTS's NAV `exclude` peer
+  // (the initiator) sits in another region on every flow link that crosses
+  // a boundary. Every sharding must agree bit for bit: 1x1, grid 0 (one
+  // region at one thread, the auto grid at two and four) and 4x4, each at
+  // one, two and four threads.
+  const benchx::Section52Setup setup =
+      benchx::make_scaled_setup(4, 500, 8, 2.0, 12.0);
+  const net::Network& net = setup.network;
+  std::vector<std::vector<net::LinkId>> paths;
+  {
+    const core::PhysicalInterferenceModel model(net);
+    const routing::QosRouter router(net, model);
+    const std::vector<double> idle(net.num_nodes(), 1.0);
+    for (const routing::FlowRequest& request : setup.requests) {
+      const auto path = router.find_path(request.src, request.dst,
+                                         routing::Metric::kHopCount, idle);
+      ASSERT_TRUE(path.has_value());
+      paths.push_back(path->links());
+    }
+  }
+  const GridPartition four = make_grid_partition(net, 4, 4);
+  bool crosses = false;
+  for (const auto& path : paths)
+    for (net::LinkId id : path)
+      crosses |= four.region_of_node[net.link(id).tx] !=
+                 four.region_of_node[net.link(id).rx];
+  ASSERT_TRUE(crosses) << "no flow link crosses a 4x4 region boundary";
+
+  for (const bool rts : {false, true}) {
+    MacParams params;
+    params.enable_rts_cts = rts;
+    std::optional<SimReport> baseline;
+    for (const std::size_t grid : {std::size_t{1}, std::size_t{0},
+                                   std::size_t{4}}) {
+      for (const std::size_t threads :
+           {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+        ShardParams shard;
+        shard.grid_x = shard.grid_y = grid;
+        shard.threads = threads;
+        ParallelCsmaSimulator sim(net, params, shard, 5);
+        for (const auto& path : paths) sim.add_flow(path, 2.0);
+        const SimReport report = sim.run(0.03, 0.01);
+        const ShardStats stats = sim.stats();
+        if (grid == 4) {
+          EXPECT_GT(stats.cross_messages, 0u);
+        }
+        const std::string what =
+            std::string(rts ? "RTS on, " : "RTS off, ") +
+            (grid == 0 ? std::string("auto") : std::to_string(grid) + "x" +
+                                                    std::to_string(grid)) +
+            " grid, " + std::to_string(threads) + " threads";
+        if (!baseline) {
+          EXPECT_GT(report.data_transmissions, 0u);
+          baseline = report;
+        } else {
+          expect_identical(*baseline, report, what);
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelCsma, OneRegionPostsTwoSignalMessagesPerFrame) {
+  // With one region, every node's neighbour row is a single run, so each
+  // frame costs exactly two signal messages (on and off) however many
+  // neighbours hear it. A light chain ends with the channel quiet, so
+  // every frame's off edge falls inside the run. One message per
+  // neighbour would make this 2 x 3 x frames.
+  const net::Network net = grid_network(1, 4, 70.0);
+  const auto flow = path_of(net, {0, 1, 2, 3});
+  ShardParams shard;
+  shard.grid_x = shard.grid_y = 1;
+  shard.threads = 1;
+  ParallelCsmaSimulator sim(net, MacParams{}, shard, 3);
+  sim.add_flow(flow, 0.5);
+  EXPECT_EQ(sim.stats().events, 0u);
+  const SimReport report = sim.run(1.0, 0.2);
+  const ShardStats stats = sim.stats();
+  EXPECT_GT(stats.frames, report.data_transmissions);  // DATA plus ACKs
+  EXPECT_EQ(stats.signal_messages, 2 * stats.frames);
+  EXPECT_EQ(stats.cross_messages, 0u);
+  EXPECT_GT(stats.local_messages, stats.signal_messages);
+  EXPECT_GT(stats.events, stats.local_messages);
+  EXPECT_GT(stats.windows, 0u);
+}
+
+TEST(ParallelCsma, GridZeroOnOneThreadIsOneRegion) {
+  // Grid 0 at one thread is a single region: no message ever waits for a
+  // barrier. At four threads the same request auto-sizes the grid.
+  const net::Network net(geom::chain(12, 90.0), phy::PhyModel::paper_default());
+  ASSERT_GT(auto_grid_partition(net).num_regions(), 1u);
+  const auto flow = path_of(net, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+  const auto run_with = [&](std::size_t threads) {
+    ShardParams shard;
+    shard.threads = threads;
+    ParallelCsmaSimulator sim(net, MacParams{}, shard, 19);
+    sim.add_flow(flow, 1.0);
+    const SimReport report = sim.run(0.5, 0.1);
+    return std::make_pair(report, sim.stats());
+  };
+  const auto [one, one_stats] = run_with(1);
+  const auto [four, four_stats] = run_with(4);
+  expect_identical(one, four, "grid 0 at 1 vs 4 threads");
+  EXPECT_EQ(one_stats.cross_messages, 0u);
+  EXPECT_GT(four_stats.cross_messages, 0u);
+  EXPECT_EQ(one_stats.frames, four_stats.frames);
+}
+
+TEST(ParallelCsma, RejectsInvalidInteractionFloor) {
+  const net::Network net = grid_network(1, 3, 70.0);
+  for (const double floor : {-0.01, std::nan(""),
+                             std::numeric_limits<double>::infinity()}) {
+    ShardParams shard;
+    shard.interaction_floor = floor;
+    EXPECT_THROW(ParallelCsmaSimulator(net, MacParams{}, shard, 1),
+                 PreconditionError)
+        << "floor " << floor;
+  }
+  ShardParams zero;
+  zero.interaction_floor = 0.0;  // every pair interacts: valid
+  EXPECT_NO_THROW(ParallelCsmaSimulator(net, MacParams{}, zero, 1));
+}
+
 // --- TDMA determinism ------------------------------------------------------
 
 TEST(ParallelTdma, LpScheduleIsShardingInvariant) {
@@ -258,6 +390,26 @@ TEST(ParallelTdma, LpScheduleIsShardingInvariant) {
   EXPECT_NEAR(report.flows[0].delivered_mbps, demand, 0.08 * demand);
   EXPECT_EQ(report.flows[0].dropped_packets, 0u);
   EXPECT_EQ(report.failed_receptions, 0u);
+}
+
+TEST(ParallelTdma, StatsCountEveryPacketAsAFrame) {
+  const net::Network net(geom::chain(5, 70.0), phy::PhyModel::paper_default());
+  core::PhysicalInterferenceModel model(net);
+  std::vector<net::LinkId> path;
+  for (std::size_t i = 0; i < 4; ++i) path.push_back(*net.find_link(i, i + 1));
+  const auto lp = core::max_path_bandwidth(model, {}, path);
+  ASSERT_TRUE(lp.background_feasible);
+  ShardParams shard;
+  shard.grid_x = shard.grid_y = 2;
+  shard.threads = 2;
+  ParallelTdmaSimulator sim(net, model, lp.schedule, TdmaParams{}, shard, 31);
+  sim.add_flow(path, 0.9 * lp.available_mbps);
+  const SimReport report = sim.run(1.0);
+  const ShardStats stats = sim.stats();
+  EXPECT_EQ(stats.frames, report.data_transmissions);
+  EXPECT_EQ(stats.signal_messages, 0u);  // TDMA has no carrier sensing
+  EXPECT_GT(stats.cross_messages, 0u);   // handoffs cross the column split
+  EXPECT_GT(stats.windows, 0u);
 }
 
 TEST(ParallelTdma, TwoFlowsAreShardingInvariant) {

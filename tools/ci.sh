@@ -19,10 +19,12 @@
 #      30% BM_AdmissionReplayWrite* ones — with 1e-6 parity verification
 #      built in, and bench_compare.py checks the report still covers the
 #      p50/p99/QPS/scenario-load metrics against the committed baseline.
-#   5. churn + commit bench: BM_ChurnReadmit{Incremental,Rebuild} on the
-#      100-node churn script plus BM_CommitLatency/{128,1024,8192}, and the
-#      per-pair kernels BM_ConflictMatrixBuild/{8,12} and
-#      BM_CliqueUpperBound, with --require coverage guards for every family.
+#   5. churn + commit + DES bench: BM_ChurnReadmit{Incremental,Rebuild}
+#      on the 100-node churn script plus BM_CommitLatency/{128,1024,8192},
+#      the per-pair kernels BM_ConflictMatrixBuild/{8,12} and
+#      BM_CliqueUpperBound, and the discrete-event kernels
+#      BM_CsmaParallel/{1,2,4,8} and BM_EventQueueChurn, with --require
+#      coverage guards for every family.
 #
 # Stages 4 and 5 archive their median reports into BENCH_history/ (one
 # compact JSON per run, named by UTC stamp + git revision) so the perf
@@ -31,8 +33,7 @@
 # Full benchmark regressions are gated separately: regenerate with
 #   cmake --build build --target bench_json
 # and diff against the committed baseline with
-#   tools/bench_compare.py old.json BENCH_results.json \
-#     --require BM_CsmaParallel --require BM_EventQueueChurn
+#   tools/bench_compare.py old.json BENCH_results.json
 #
 # Usage: ci.sh [build-dir]
 #   build-dir  defaults to build/ (created if missing)
@@ -87,23 +88,26 @@ else
   "$REPO/tools/bench_archive.py" "$REPLAY_JSON" \
     --history "$REPO/BENCH_history" --label replay
 
-  echo "== ci stage 5: churn + commit-latency bench + coverage guard =="
+  echo "== ci stage 5: churn + commit-latency + DES bench + coverage guard =="
   # Incremental topology repair vs cold rebuild on the 100-node churn
   # script, plus the structure-sharing commit-latency family at 128/1k/8k
   # background columns, plus the conflict-matrix build (one interferes()
   # per couple pair on a fresh physical model: each link pair is asked once
-  # per rate combination, the case the pair-limit memo exists for) and the
-  # Eq. 9 clique upper bound; the --require guards fail the gate if any of
-  # them silently drops out of the suite.
+  # per rate combination, the case the pair-limit memo exists for), the
+  # Eq. 9 clique upper bound, the sharded CSMA simulator on the 500-node
+  # scaled Fig. 4 topology at 1/2/4/8 workers, and the event-queue churn
+  # kernel; the --require guards fail the gate if any of them silently
+  # drops out of the suite.
   cmake --build "$BUILD" -j "$JOBS" --target perf_micro
   CHURN_JSON="$BUILD/bench_churn_ci.json"
   "$REPO/tools/bench_to_json.sh" "$CHURN_JSON" \
-    'BM_ChurnReadmit|BM_CommitLatency|BM_ConflictMatrixBuild|BM_CliqueUpperBound' \
+    'BM_ChurnReadmit|BM_CommitLatency|BM_ConflictMatrixBuild|BM_CliqueUpperBound|BM_CsmaParallel|BM_EventQueueChurn$' \
     "$BUILD/bench/perf_micro"
   "$REPO/tools/bench_compare.py" "$REPO/BENCH_results.json" "$CHURN_JSON" \
     --require BM_ChurnReadmitIncremental --require BM_ChurnReadmitRebuild \
     --require BM_CommitLatency --require BM_ConflictMatrixBuild \
-    --require BM_CliqueUpperBound
+    --require BM_CliqueUpperBound --require BM_CsmaParallel \
+    --require BM_EventQueueChurn
   "$REPO/tools/bench_archive.py" "$CHURN_JSON" \
     --history "$REPO/BENCH_history" --label churn
 fi
