@@ -26,6 +26,8 @@
 #include "mac/event_queue.hpp"
 #include "mac/parallel_sim.hpp"
 #include "routing/qos_router.hpp"
+#include "support/clique_reference.hpp"
+#include "support/lp_reference.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -49,7 +51,7 @@ void BM_SimplexRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexRandom)->Arg(8)->Arg(24)->Arg(64);
 
-// "Before" counter: the vector-of-rows reference tableau on the same
+// Oracle counter: the dense vector-of-rows test-oracle tableau on the same
 // problems, for direct comparison against BM_SimplexRandom.
 void BM_SimplexReference(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -81,7 +83,8 @@ void BM_BronKerbosch(benchmark::State& state) {
 }
 BENCHMARK(BM_BronKerbosch)->Arg(12)->Arg(20)->Arg(28);
 
-// "Before" counter: the vector-based Bron–Kerbosch on the same graphs.
+// Oracle counter: the vector-based test-oracle Bron–Kerbosch on the same
+// graphs.
 void BM_BronKerboschReference(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
@@ -171,19 +174,17 @@ void BM_ColumnGen(benchmark::State& state) {
 BENCHMARK(BM_ColumnGen)->Arg(12)->Arg(20)->Arg(24)->Arg(28);
 
 // ---------------------------------------------------------------------------
-// Revised vs dense simplex on the column-generation master (the sparse
-// revised simplex tentpole). Two views:
+// The revised simplex on the column-generation master. Two views:
 //
-//   BM_MasterResolve{Dense,Revised}: the master isolated from the pricing
-//   oracle — replay the colgen re-solve pattern (append columns, re-solve
-//   warm from the previous basis) over a 40+-link chain-shaped Eq. 6
-//   master with a synthetic column pool. The revised engine additionally
-//   chains its RevisedContext, so a warm re-solve reuses the previous
-//   factorization outright.
+//   BM_MasterResolveRevised: the master isolated from the pricing oracle —
+//   replay the colgen re-solve pattern (append columns, re-solve warm from
+//   the previous basis, chained through a RevisedContext so a warm
+//   re-solve reuses the previous factorization outright) over a
+//   40+-link chain-shaped Eq. 6 master with a synthetic column pool.
 //
-//   BM_ColumnGen{Dense,Revised}: the full end-to-end solve on a chain of
-//   that size, where the pricing oracle and interference model share the
-//   bill with the master.
+//   BM_ColumnGenRevised: the full end-to-end solve on a chain of that
+//   size, where the pricing oracle and interference model share the bill
+//   with the master.
 // ---------------------------------------------------------------------------
 
 /// Deterministic Eq. 6-shaped column pool over a chain-like universe:
@@ -230,13 +231,12 @@ lp::Problem build_master(const std::vector<std::vector<double>>& sets,
   return problem;
 }
 
-void master_resolve_replay(benchmark::State& state, lp::Engine engine) {
+void BM_MasterResolveRevised(benchmark::State& state) {
   const std::size_t links = static_cast<std::size_t>(state.range(0));
   // Second arg: pool depth in columns-per-link. Long colgen runs grow the
-  // master pool well past 10 columns per link, which is where the revised
-  // engine pulls away — the dense tableau re-pivots O(rows x pool) per
-  // warm re-solve while the revised engine re-uses the factorization and
-  // prices a rotating window.
+  // master pool well past 10 columns per link; a warm re-solve re-uses the
+  // factorization and prices a rotating window instead of re-pivoting
+  // O(rows x pool).
   const std::size_t total = static_cast<std::size_t>(state.range(1)) * links;
   const auto sets = make_master_pool(links, total);
   // Pre-build the whole master sequence: the timed loop measures the LP
@@ -251,7 +251,6 @@ void master_resolve_replay(benchmark::State& state, lp::Engine engine) {
     double objective = 0.0;
     for (const lp::Problem& problem : masters) {
       lp::SolveOptions options;
-      options.engine = engine;
       options.warm_start = basis.empty() ? nullptr : &basis;
       options.context = &context;
       const lp::Solution solution = lp::solve(problem, options);
@@ -261,53 +260,16 @@ void master_resolve_replay(benchmark::State& state, lp::Engine engine) {
     benchmark::DoNotOptimize(objective);
   }
 }
-void BM_MasterResolveDense(benchmark::State& state) {
-  master_resolve_replay(state, lp::Engine::kDense);
-}
-void BM_MasterResolveRevised(benchmark::State& state) {
-  master_resolve_replay(state, lp::Engine::kRevised);
-}
-BENCHMARK(BM_MasterResolveDense)
-    ->Args({40, 10})
-    ->Args({40, 30})
-    ->Args({60, 10});
 BENCHMARK(BM_MasterResolveRevised)
     ->Args({40, 10})
     ->Args({40, 30})
     ->Args({60, 10});
 
-void colgen_engine(benchmark::State& state, lp::Engine engine) {
-  const std::size_t hops = static_cast<std::size_t>(state.range(0));
-  const net::Network network(geom::chain(hops + 1, 70.0),
-                             phy::PhyModel::paper_default());
-  std::vector<net::LinkId> path;
-  for (std::size_t i = 0; i < hops; ++i)
-    path.push_back(*network.find_link(i, i + 1));
-  const std::vector<core::LinkFlow> background = {{{path[0]}, 1.0}};
-  core::ColumnGenOptions options;
-  options.engine = engine;
-  core::ColumnGenStats last;
-  for (auto _ : state) {
-    core::PhysicalInterferenceModel model(network);
-    const auto result = core::max_path_bandwidth(
-        model, background, path, core::SolveMethod::kColumnGeneration,
-        options);
-    last = result.colgen;
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["rounds"] = double(last.rounds);
-  state.counters["columns"] = double(last.columns);
-  state.counters["pool_cols"] = double(last.pool_hit_columns);
-  state.counters["heur_cols"] = double(last.heuristic_columns);
-  state.counters["exact_calls"] = double(last.exact_rounds);
-}
-void BM_ColumnGenDense(benchmark::State& state) {
-  colgen_engine(state, lp::Engine::kDense);
-}
-void BM_ColumnGenRevised(benchmark::State& state) {
-  colgen_engine(state, lp::Engine::kRevised);
-}
-BENCHMARK(BM_ColumnGenDense)->Arg(40);
+// The 40-link chain, past BM_ColumnGen's sizes; the row name is kept so
+// its rounds/columns counters stay comparable across baselines. Two of its
+// cold master solves per run fail numerically in the revised engine and
+// are finished by lp::solve's internal dense tableau.
+void BM_ColumnGenRevised(benchmark::State& state) { BM_ColumnGen(state); }
 BENCHMARK(BM_ColumnGenRevised)->Arg(40);
 
 // ---------------------------------------------------------------------------

@@ -302,7 +302,6 @@ void AdmissionEngine::refresh_background() {
     sync_background_master();
     const lp::Problem& master = bg_master_;
     lp::SolveOptions solve_options;
-    solve_options.engine = options_.engine;
     solve_options.context = &bg_context_;
     lp::SolveStats lp_stats;
     solve_options.stats = &lp_stats;
@@ -610,7 +609,6 @@ AdmissionAnswer AdmissionEngine::solve_query(
 
   for (std::size_t round = 0; round <= options_.max_rounds; ++round) {
     lp::SolveOptions solve_options;
-    solve_options.engine = options_.engine;
     solve_options.context = &context;
     if (!basis.empty()) solve_options.warm_start = &basis;
     lp::SolveStats lp_stats;

@@ -129,7 +129,8 @@ void seed_singleton_columns(const InterferenceModel& model,
 }
 
 struct ColGenLoopResult {
-  lp::Solution solution;   ///< last optimal master solution
+  lp::Solution solution;   ///< last optimal master solution, with a zero
+                           ///< value for every column added after it
   bool solved = false;     ///< at least one master solve reached kOptimal
   bool converged = false;  ///< pricing proved the master optimal overall
 };
@@ -238,15 +239,17 @@ ColGenLoopResult column_generation_loop(
   for (;;) {
     const lp::Problem problem = build(*pool);
     lp::SolveOptions solve_options;
-    solve_options.engine = options.engine;
     solve_options.warm_start = basis.empty() ? nullptr : &basis;
     solve_options.context = &context;
     if (solve_options.warm_start != nullptr) ++stats->warm_starts;
     lp::Solution solution = lp::solve(problem, solve_options);
     if (solution.status != lp::Status::kOptimal) {
       // Every master here is feasible and bounded by construction, so only
-      // a pivot-budget blowout lands here; keep the previous round's
-      // solution and report non-convergence.
+      // a pivot-budget blowout, or round-off that even the dense tableau
+      // of lp::solve's numerical recovery cannot absorb, lands here. Keep
+      // the previous round's solution — still feasible, with the columns
+      // priced in since at zero — and report non-convergence.
+      if (out.solved) out.solution.values.resize(problem.num_variables(), 0.0);
       break;
     }
     basis = solution.basis;
@@ -630,8 +633,9 @@ AvailableBandwidthResult max_path_bandwidth(const InterferenceModel& model,
   const lp::Solution solution = lp::solve(problem);
   if (solution.status != lp::Status::kOptimal) {
     MRWSN_REQUIRE(solution.status != lp::Status::kIterationLimit,
-                  "enumeration LP exceeded the pivot budget; solve universes "
-                  "this large with SolveMethod::kColumnGeneration");
+                  "enumeration LP did not converge (pivot budget or "
+                  "numerical failure); solve universes this large with "
+                  "SolveMethod::kColumnGeneration");
     // With f free to be 0 the LP is infeasible only when the background
     // demands alone are unschedulable; it can never be unbounded
     // (Σλ <= 1 caps f through the new path's constraints).
@@ -731,8 +735,9 @@ JointBandwidthResult max_joint_bandwidth(
     const lp::Solution solution = lp::solve(problem);
     if (solution.status != lp::Status::kOptimal) {
       MRWSN_REQUIRE(solution.status != lp::Status::kIterationLimit,
-                    "enumeration LP exceeded the pivot budget; solve "
-                    "universes this large with SolveMethod::kColumnGeneration");
+                    "enumeration LP did not converge (pivot budget or "
+                    "numerical failure); solve universes this large with "
+                    "SolveMethod::kColumnGeneration");
       MRWSN_ASSERT(solution.status == lp::Status::kInfeasible,
                    "joint LP cannot be unbounded");
       return result;

@@ -80,11 +80,6 @@ struct ColumnGenOptions {
   /// degenerate duals from flooding the master with near-duplicates.
   std::size_t max_tier0_columns = 4;
 
-  /// LP engine for the restricted masters. The revised engine re-solves a
-  /// warm-chained master from the cached factorization of the previous
-  /// round's basis; kDense is the retained reference.
-  lp::Engine engine = lp::Engine::kRevised;
-
   /// Wentges (in-out) dual smoothing: price against a convex combination
   /// of the stability center and the incumbent master duals. Damps the
   /// dual oscillation that makes degenerate masters tail off near the

@@ -120,16 +120,34 @@ void Problem::set_objective_coeff(VarId var, double objective_coeff) {
 
 namespace {
 
-/// Dense two-phase tableau simplex. Column layout:
+Solution solve_trivial(const Problem& problem, double eps) {
+  // Degenerate but well-defined: feasible iff every constraint already
+  // holds with an all-zero left-hand side.
+  Solution s;
+  s.status = Status::kOptimal;
+  s.duals.assign(problem.num_constraints(), 0.0);
+  for (const auto& row : problem.rows()) {
+    const bool ok = (row.sense == Sense::kLessEqual && 0.0 <= row.rhs + eps) ||
+                    (row.sense == Sense::kGreaterEqual && 0.0 >= row.rhs - eps) ||
+                    (row.sense == Sense::kEqual && std::abs(row.rhs) <= eps);
+    if (!ok) {
+      s.status = Status::kInfeasible;
+      break;
+    }
+  }
+  return s;
+}
+
+/// Dense two-phase tableau simplex: the revised engine's last resort when
+/// a cold solve fails numerically (see Fallback::kNumerical). It carries no
+/// basis factorization, so the near-singular bases that defeat an LU
+/// refactorization cannot stop it. Only the cold path exists; nothing
+/// selects it directly. Column layout:
 ///   [0, n)            original variables
 ///   [n, n+s)          slack/surplus variables (one per inequality row)
 ///   [n+s, n+s+m)      artificial variables (one per row)
-/// The last tableau column is the right-hand side.
-///
-/// The tableau lives in ONE contiguous row-major buffer (stride cols_+1):
-/// every pivot walks the pivot row and each updated row sequentially, so
-/// the hundreds of LP solves behind Eq. 6 / Eq. 9 stream through cache
-/// lines instead of chasing per-row heap allocations.
+/// The last tableau column is the right-hand side; the tableau is one
+/// contiguous row-major buffer (stride cols_+1).
 class Tableau {
  public:
   Tableau(const Problem& p, double eps) : eps_(eps) {
@@ -166,7 +184,6 @@ class Tableau {
     basis_.assign(rows_, 0);
     dual_col_.assign(rows_, 0);
     row_sign_.reserve(rows_);
-    row_slack_col_.reserve(rows_);
     slack_row_.assign(num_slack, 0);
 
     std::size_t slack = slack_begin_;
@@ -186,7 +203,6 @@ class Tableau {
         slack_col = slack++;
         arow[slack_col] = sign * -1.0;
       }
-      row_slack_col_.push_back(slack_col);
       if (slack_col != cols_) slack_row_[slack_col - slack_begin_] = i;
       if (needs_art[i]) {
         // Identity column for the row; doubles as the dual probe.
@@ -234,67 +250,6 @@ class Tableau {
       drive_out_artificials();
     }
     return phase2();
-  }
-
-  /// Pivot into `warm` and run phase 2 from it, skipping phase 1. Returns
-  /// false when the basis does not apply to this problem — wrong size,
-  /// unknown entries, singular basis matrix, or a primal-infeasible
-  /// starting point. The tableau is garbage afterwards; the caller must
-  /// rebuild and run cold.
-  bool run_warm(const Basis& warm, std::size_t max_pivots, Solution* out) {
-    budget_ = max_pivots;
-    if (warm.size() != rows_) return false;
-    std::vector<std::size_t> target(rows_, cols_);
-    std::vector<char> used(cols_, 0);
-    for (std::size_t k = 0; k < rows_; ++k) {
-      const BasisEntry& entry = warm[k];
-      std::size_t c = cols_;
-      if (entry.kind == BasisEntry::Kind::kStructural) {
-        if (entry.index < 0 || static_cast<std::size_t>(entry.index) >= n_)
-          return false;
-        c = static_cast<std::size_t>(entry.index);
-      } else {
-        if (entry.index < 0 || static_cast<std::size_t>(entry.index) >= rows_)
-          return false;
-        c = row_slack_col_[static_cast<std::size_t>(entry.index)];
-        if (c == cols_) return false;  // equality row: no slack to be basic
-      }
-      if (used[c]) return false;
-      used[c] = 1;
-      target[k] = c;
-    }
-
-    // Gaussian pivot-in: per target column, the largest-magnitude pivot
-    // among rows not yet claimed. A near-zero best pivot means the basis
-    // matrix is singular for this problem. These <= m deterministic pivots
-    // do not count against the budget.
-    std::vector<char> row_done(rows_, 0);
-    for (std::size_t k = 0; k < rows_; ++k) {
-      const std::size_t c = target[k];
-      std::size_t best_row = rows_;
-      double best_abs = 1e-7;
-      const double* col = a_.data() + c;
-      for (std::size_t i = 0; i < rows_; ++i, col += stride_) {
-        if (!row_done[i] && std::abs(*col) > best_abs) {
-          best_abs = std::abs(*col);
-          best_row = i;
-        }
-      }
-      if (best_row == rows_) return false;
-      pivot(best_row, c);
-      row_done[best_row] = 1;
-    }
-
-    // The warm basis must be primal feasible here (it always is when the
-    // problem only gained columns since the basis was optimal). Tiny
-    // negative rhs from re-pivoting round-off is clamped; anything larger
-    // means a genuinely different problem.
-    for (std::size_t i = 0; i < rows_; ++i)
-      if (row(i)[cols_] < -1e-7) return false;
-    for (std::size_t i = 0; i < rows_; ++i)
-      if (row(i)[cols_] < 0.0) row(i)[cols_] = 0.0;
-    *out = phase2();
-    return true;
   }
 
  private:
@@ -472,237 +427,10 @@ class Tableau {
   std::vector<char> in_basis_;  // membership flags mirroring basis_
   std::vector<double> row_sign_;  // +1/-1 rhs normalization per row
   std::vector<std::size_t> dual_col_;  // identity-like column per row
-  std::vector<std::size_t> row_slack_col_;  // per row: slack column or cols_
   std::vector<std::size_t> slack_row_;      // per slack column: its row
   std::vector<double> obj_;  // maximize orientation over original columns
   std::vector<double> red_;  // reduced-cost row maintained by pivot()
 };
-
-/// The pre-flattening vector<vector<double>> tableau, retained verbatim as
-/// the reference implementation for the parity suite and the before/after
-/// microbenchmarks (see solve_reference).
-class ReferenceTableau {
- public:
-  ReferenceTableau(const Problem& p, double eps) : eps_(eps) {
-    const std::size_t n = p.num_variables();
-    const std::size_t m = p.num_constraints();
-
-    std::size_t num_slack = 0;
-    std::size_t num_art = 0;
-    std::vector<double> signs(m, 1.0);
-    std::vector<char> needs_art(m, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto& row = p.rows()[i];
-      signs[i] = row.rhs < 0.0 ? -1.0 : 1.0;
-      if (row.sense != Sense::kEqual) ++num_slack;
-      const bool slack_is_basic =
-          (row.sense == Sense::kLessEqual && signs[i] > 0.0) ||
-          (row.sense == Sense::kGreaterEqual && signs[i] < 0.0);
-      needs_art[i] = slack_is_basic ? 0 : 1;
-      if (needs_art[i]) ++num_art;
-    }
-
-    n_ = n;
-    art_begin_ = n + num_slack;
-    cols_ = n + num_slack + num_art;
-    rows_ = m;
-
-    a_.assign(rows_, std::vector<double>(cols_ + 1, 0.0));
-    basis_.assign(rows_, 0);
-    dual_col_.assign(rows_, 0);
-
-    std::size_t slack = n;
-    std::size_t art = art_begin_;
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto& row = p.rows()[i];
-      const double sign = signs[i];
-      for (const auto& [var, coeff] : row.terms)
-        a_[i][static_cast<std::size_t>(var)] = sign * coeff;
-      a_[i][cols_] = sign * row.rhs;
-      std::size_t slack_col = cols_;
-      if (row.sense == Sense::kLessEqual) {
-        slack_col = slack++;
-        a_[i][slack_col] = sign * 1.0;
-      } else if (row.sense == Sense::kGreaterEqual) {
-        slack_col = slack++;
-        a_[i][slack_col] = sign * -1.0;
-      }
-      if (needs_art[i]) {
-        const std::size_t art_col = art++;
-        a_[i][art_col] = 1.0;
-        basis_[i] = art_col;
-        dual_col_[i] = art_col;
-      } else {
-        basis_[i] = slack_col;
-        dual_col_[i] = slack_col;
-      }
-      row_sign_.push_back(sign);
-    }
-    in_basis_.assign(cols_, 0);
-    for (std::size_t b : basis_) in_basis_[b] = 1;
-
-    obj_.assign(cols_, 0.0);
-    const double obj_sign = p.objective() == Objective::kMaximize ? 1.0 : -1.0;
-    for (std::size_t j = 0; j < n; ++j) obj_[j] = obj_sign * p.objective_coeffs()[j];
-    obj_sign_ = obj_sign;
-  }
-
-  Solution run() {
-    if (art_begin_ < cols_) {
-      std::vector<double> phase1(cols_, 0.0);
-      for (std::size_t j = art_begin_; j < cols_; ++j) phase1[j] = -1.0;
-      const double phase1_value = optimize(phase1, /*allow_artificials=*/true);
-      if (phase1_value < -eps_) return Solution{};
-      drive_out_artificials();
-    }
-
-    Solution solution;
-    if (!pivot_loop(obj_, /*allow_artificials=*/false)) {
-      solution.status = Status::kUnbounded;
-      return solution;
-    }
-
-    solution.status = Status::kOptimal;
-    solution.values.assign(n_, 0.0);
-    for (std::size_t i = 0; i < rows_; ++i) {
-      if (basis_[i] < n_) solution.values[basis_[i]] = a_[i][cols_];
-    }
-    double obj_value = 0.0;
-    for (std::size_t j = 0; j < n_; ++j) obj_value += obj_[j] * solution.values[j];
-    solution.objective = obj_sign_ * obj_value;
-
-    solution.duals.assign(rows_, 0.0);
-    for (std::size_t i = 0; i < rows_; ++i)
-      solution.duals[i] = obj_sign_ * row_sign_[i] * -red_[dual_col_[i]];
-    return solution;
-  }
-
- private:
-  double optimize(const std::vector<double>& c, bool allow_artificials) {
-    const bool unbounded = !pivot_loop(c, allow_artificials);
-    MRWSN_ASSERT(!unbounded, "phase-1 objective cannot be unbounded");
-    double value = 0.0;
-    for (std::size_t i = 0; i < rows_; ++i) {
-      if (basis_[i] < c.size()) value += c[basis_[i]] * a_[i][cols_];
-    }
-    return value;
-  }
-
-  bool pivot_loop(const std::vector<double>& c, bool allow_artificials) {
-    red_.assign(cols_, 0.0);
-    for (std::size_t j = 0; j < cols_; ++j) {
-      double reduced = c[j];
-      for (std::size_t i = 0; i < rows_; ++i) {
-        const double cb = c[basis_[i]];
-        if (cb != 0.0) reduced -= cb * a_[i][j];
-      }
-      red_[j] = reduced;
-    }
-
-    for (std::size_t iter = 0; iter < kMaxIters; ++iter) {
-      const bool bland = iter >= kDantzigIters;
-      std::size_t entering = cols_;
-      double best_reduced = eps_;
-      const std::size_t limit = allow_artificials ? cols_ : art_begin_;
-      for (std::size_t j = 0; j < limit; ++j) {
-        if (red_[j] > best_reduced && !is_basic(j)) {
-          entering = j;
-          if (bland) break;
-          best_reduced = red_[j];
-        }
-      }
-      if (entering == cols_) return true;
-
-      std::size_t leaving = rows_;
-      double best_ratio = std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < rows_; ++i) {
-        if (a_[i][entering] > eps_) {
-          const double ratio = a_[i][cols_] / a_[i][entering];
-          if (ratio < best_ratio - eps_ ||
-              (ratio < best_ratio + eps_ &&
-               (leaving == rows_ || basis_[i] < basis_[leaving]))) {
-            best_ratio = ratio;
-            leaving = i;
-          }
-        }
-      }
-      if (leaving == rows_) return false;
-
-      pivot(leaving, entering);
-    }
-    throw InvariantError("simplex exceeded the iteration limit (cycling?)");
-  }
-
-  bool is_basic(std::size_t col) const { return in_basis_[col] != 0; }
-
-  void pivot(std::size_t row, std::size_t col) {
-    const double p = a_[row][col];
-    for (double& v : a_[row]) v /= p;
-    for (std::size_t i = 0; i < rows_; ++i) {
-      if (i == row) continue;
-      const double factor = a_[i][col];
-      if (factor == 0.0) continue;
-      for (std::size_t j = 0; j <= cols_; ++j) a_[i][j] -= factor * a_[row][j];
-    }
-    if (!red_.empty()) {
-      const double factor = red_[col];
-      if (factor != 0.0)
-        for (std::size_t j = 0; j < cols_; ++j) red_[j] -= factor * a_[row][j];
-    }
-    in_basis_[basis_[row]] = 0;
-    in_basis_[col] = 1;
-    basis_[row] = col;
-  }
-
-  void drive_out_artificials() {
-    for (std::size_t i = 0; i < rows_; ++i) {
-      if (basis_[i] < art_begin_) continue;
-      MRWSN_ASSERT(std::abs(a_[i][cols_]) <= 1e-6,
-                   "basic artificial with nonzero value after feasible phase 1");
-      for (std::size_t j = 0; j < art_begin_; ++j) {
-        if (std::abs(a_[i][j]) > eps_ && !is_basic(j)) {
-          pivot(i, j);
-          break;
-        }
-      }
-    }
-  }
-
-  static constexpr std::size_t kDantzigIters = 20000;
-  static constexpr std::size_t kMaxIters = 400000;
-
-  double eps_;
-  double obj_sign_ = 1.0;
-  std::size_t n_ = 0;
-  std::size_t art_begin_ = 0;
-  std::size_t cols_ = 0;
-  std::size_t rows_ = 0;
-  std::vector<std::vector<double>> a_;
-  std::vector<std::size_t> basis_;
-  std::vector<char> in_basis_;
-  std::vector<double> row_sign_;
-  std::vector<std::size_t> dual_col_;
-  std::vector<double> obj_;
-  std::vector<double> red_;
-};
-
-Solution solve_trivial(const Problem& problem, double eps) {
-  // Degenerate but well-defined: feasible iff every constraint already
-  // holds with an all-zero left-hand side.
-  Solution s;
-  s.status = Status::kOptimal;
-  s.duals.assign(problem.num_constraints(), 0.0);
-  for (const auto& row : problem.rows()) {
-    const bool ok = (row.sense == Sense::kLessEqual && 0.0 <= row.rhs + eps) ||
-                    (row.sense == Sense::kGreaterEqual && 0.0 >= row.rhs - eps) ||
-                    (row.sense == Sense::kEqual && std::abs(row.rhs) <= eps);
-    if (!ok) {
-      s.status = Status::kInfeasible;
-      break;
-    }
-  }
-  return s;
-}
 
 }  // namespace
 
@@ -741,12 +469,13 @@ std::size_t RevisedContext::rows() const {
   return state_ != nullptr ? state_->rows : 0;
 }
 
-/// Sparse revised two-phase primal simplex. Shares the dense Tableau's
-/// column layout (structural, slack, artificial columns; rows
-/// sign-normalized to rhs >= 0) and pivot rules (Dantzig with a permanent
-/// switch to Bland's anti-cycling rule after a stall, Bland tie-break in
-/// the ratio test), so the two engines agree on status and optimum — the
-/// differential fuzz harness holds them to that.
+/// Sparse revised two-phase primal simplex, the library's LP engine.
+/// Column layout: structural, slack, then artificial columns, with rows
+/// sign-normalized to rhs >= 0. Pivot rules: Dantzig with a permanent
+/// switch to Bland's anti-cycling rule after a stall, and a Bland
+/// tie-break in the ratio test. These are the textbook dense tableau's
+/// layout and rules, so the two agree on status and optimum; the
+/// differential fuzz harness holds this engine to the dense test oracle.
 ///
 /// Instead of updating an m x cols tableau on every pivot, it keeps an LU
 /// factorization (partial pivoting) of the m x m basis matrix plus an eta
@@ -754,13 +483,15 @@ std::size_t RevisedContext::rows() const {
 /// prices candidate columns through their sparse entries: per-pivot cost
 /// O(m^2 + nnz(A)) instead of O(m * cols), which is what lets the
 /// column-generation master scale to thousands of pooled columns. The
-/// basis is refactorized every `refactor_interval` eta updates (and on
+/// basis is refactorized every kRefactorInterval eta updates (and on
 /// warm starts, unless a RevisedContext supplies the factorization of the
 /// previous optimum, in which case pivoting-in is skipped entirely).
 class RevisedSimplex {
  public:
-  RevisedSimplex(const Problem& p, double eps, std::size_t refactor_interval)
-      : eps_(eps), refactor_interval_(std::max<std::size_t>(1, refactor_interval)) {
+  /// Eta updates between refactorizations.
+  static constexpr std::size_t kRefactorInterval = 64;
+
+  RevisedSimplex(const Problem& p, double eps) : eps_(eps) {
     const std::size_t n = p.num_variables();
     const std::size_t m = p.num_constraints();
 
@@ -852,7 +583,7 @@ class RevisedSimplex {
     obj_sign_ = obj_sign;
   }
 
-  /// Cold two-phase solve, mirroring Tableau::run.
+  /// Cold two-phase solve from the all-slack/artificial basis.
   Solution run(std::size_t max_pivots) {
     budget_ = max_pivots;
     head_ = initial_head_;
@@ -872,8 +603,8 @@ class RevisedSimplex {
       if (r == LoopResult::kNumericalFailure) return Solution{};
       if (r == LoopResult::kLimit) return limit_solution();
       // Phase 1 is bounded below by zero; "unbounded" here means the eta
-      // file drifted. Flag a numerical failure so solve() falls back to
-      // the dense engine for this instance.
+      // file drifted. Flag a numerical failure so solve() hands the
+      // instance to the dense tableau.
       if (r != LoopResult::kOptimal) {
         numerical_failure_ = true;
         return Solution{};
@@ -1246,10 +977,9 @@ class RevisedSimplex {
       if (v < 0.0 && v > -1e-7) v = 0.0;
   }
 
-  /// Core revised simplex loop: same entering/leaving rules as the dense
-  /// tableau (Dantzig, permanent Bland switch after a stall, Bland
-  /// tie-break in the ratio test), reduced costs priced fresh from the
-  /// duals every iteration.
+  /// Core revised simplex loop: Dantzig entering rule with a permanent
+  /// Bland switch after a stall and a Bland tie-break in the ratio test,
+  /// reduced costs priced fresh from the duals every iteration.
   LoopResult pivot_loop(const std::vector<double>& c, bool allow_artificials) {
     const std::size_t limit = allow_artificials ? cols_ : art_begin_;
     std::vector<double> y(rows_);
@@ -1329,7 +1059,7 @@ class RevisedSimplex {
       head_[leaving] = entering;
       in_basis_[entering] = 1;
       etas_.push_back({leaving, std::move(w)});
-      if (etas_.size() >= refactor_interval_) {
+      if (etas_.size() >= kRefactorInterval) {
         if (!refactorize()) {
           numerical_failure_ = true;
           return LoopResult::kNumericalFailure;
@@ -1438,7 +1168,7 @@ class RevisedSimplex {
       head_[leaving] = entering;
       in_basis_[entering] = 1;
       etas_.push_back({leaving, std::move(w)});
-      if (etas_.size() >= refactor_interval_) {
+      if (etas_.size() >= kRefactorInterval) {
         if (!refactorize()) {
           numerical_failure_ = true;
           return LoopResult::kNumericalFailure;
@@ -1449,8 +1179,8 @@ class RevisedSimplex {
   }
 
   /// Phase 2 on the real objective plus solution extraction; artificials
-  /// may no longer enter (they can linger basic at zero on redundant rows,
-  /// exactly as in the dense path).
+  /// may no longer enter (they can linger basic at zero on redundant
+  /// rows).
   Solution phase2() {
     Solution solution;
     const LoopResult r = pivot_loop(obj_, /*allow_artificials=*/false);
@@ -1480,7 +1210,7 @@ class RevisedSimplex {
 
     // Export the basis in the problem-level representation for warm
     // starts; a basic artificial (redundant row) has no such form and
-    // makes the basis non-reusable, as in the dense path.
+    // makes the basis non-reusable.
     solution.basis.reserve(rows_);
     for (std::size_t k = 0; k < rows_; ++k) {
       const std::size_t c = head_[k];
@@ -1525,7 +1255,7 @@ class RevisedSimplex {
         head_[k] = j;
         in_basis_[j] = 1;
         etas_.push_back({k, w});
-        if (etas_.size() >= refactor_interval_) {
+        if (etas_.size() >= kRefactorInterval) {
           if (!refactorize()) {
             numerical_failure_ = true;
             return;
@@ -1556,7 +1286,6 @@ class RevisedSimplex {
   std::size_t art_begin_ = 0;
   std::size_t cols_ = 0;        // total structural columns
   std::size_t rows_ = 0;
-  std::size_t refactor_interval_;
   std::size_t budget_ = 0;       // remaining pivots before kIterationLimit
   std::size_t price_start_ = 0;  // rotating partial-pricing cursor
   std::size_t dual_pivots_ = 0;  // pivots spent in dual_loop
@@ -1616,31 +1345,11 @@ Solution solve(const Problem& problem, const SolveOptions& options) {
     note(Fallback::kStaleContextRows);
   }
 
-  if (options.engine == Engine::kDense) {
-    if (options.warm_start != nullptr && !options.warm_start->empty() &&
-        !options.dual_resolve) {
-      // Warm path: pivot straight into the previous basis and run phase 2.
-      // Any failure to apply it falls through to a fresh cold tableau (the
-      // warm attempt mutates its tableau, so it cannot be reused).
-      Tableau tableau(problem, options.eps);
-      Solution solution;
-      if (tableau.run_warm(*options.warm_start, options.max_pivots, &solution))
-        return solution;
-      note(Fallback::kWarmRejected);
-    }
-    // The dense engine has no dual phase; a dual_resolve request lands
-    // here only as the cold fallback of last resort.
-    Tableau tableau(problem, options.eps);
-    if (stats != nullptr) stats->cold = true;
-    return tableau.run(options.max_pivots);
-  }
-
-  // Revised engine. A numerically singular refactorization mid-solve is
-  // the one failure mode the eta-update scheme adds over the dense
-  // tableau; it falls back to the dense engine rather than surfacing a
-  // numerical artifact to the caller.
+  // Warm fast path: a primal warm start, or a dual re-solve. A basis that
+  // does not apply, or a numerical failure after it was claimed, falls
+  // back to the cold path below.
   if (options.warm_start != nullptr && !options.warm_start->empty()) {
-    RevisedSimplex simplex(problem, options.eps, options.refactor_interval);
+    RevisedSimplex simplex(problem, options.eps);
     Solution solution;
     const bool claimed =
         options.dual_resolve
@@ -1649,52 +1358,33 @@ Solution solve(const Problem& problem, const SolveOptions& options) {
                                options.dual_pivot_cap)
             : simplex.run_warm(*options.warm_start, options.max_pivots,
                                &solution, options.context);
-    if (claimed) {
-      if (!simplex.numerical_failure()) {
-        if (stats != nullptr) {
-          stats->dual_pivots = simplex.dual_pivots();
-          stats->pivots = simplex.pivots_spent(options.max_pivots);
-        }
-        simplex.save_context(options.context, solution);
-        return solution;
+    if (claimed && !simplex.numerical_failure()) {
+      if (stats != nullptr) {
+        stats->dual_pivots = simplex.dual_pivots();
+        stats->pivots = simplex.pivots_spent(options.max_pivots);
       }
-      note(Fallback::kNumerical);
-    } else if (simplex.numerical_failure()) {
-      note(Fallback::kNumerical);
-      SolveOptions dense = options;
-      dense.engine = Engine::kDense;
-      dense.stats = nullptr;  // keep the reason recorded above
-      if (stats != nullptr) stats->cold = true;
-      return solve(problem, dense);
-    } else {
-      note(options.dual_resolve ? Fallback::kDualRejected
-                                : Fallback::kWarmRejected);
+      simplex.save_context(options.context, solution);
+      return solution;
     }
+    note(claimed                ? Fallback::kNumerical
+         : options.dual_resolve ? Fallback::kDualRejected
+                                : Fallback::kWarmRejected);
   }
-  RevisedSimplex simplex(problem, options.eps, options.refactor_interval);
+  RevisedSimplex simplex(problem, options.eps);
   Solution solution = simplex.run(options.max_pivots);
   if (stats != nullptr) {
     stats->cold = true;
     stats->pivots = simplex.pivots_spent(options.max_pivots);
   }
   if (simplex.numerical_failure()) {
+    // A singular refactorization or eta drift on the cold path: the dense
+    // tableau, which keeps no factorization, solves the instance instead.
     note(Fallback::kNumerical);
     if (options.context != nullptr) options.context->reset();
-    SolveOptions dense = options;
-    dense.engine = Engine::kDense;
-    dense.warm_start = nullptr;
-    dense.stats = nullptr;
-    return solve(problem, dense);
+    return Tableau(problem, options.eps).run(options.max_pivots);
   }
   simplex.save_context(options.context, solution);
   return solution;
-}
-
-Solution solve_reference(const Problem& problem, double eps) {
-  MRWSN_REQUIRE(eps > 0.0, "tolerance must be positive");
-  if (problem.num_variables() == 0) return solve_trivial(problem, eps);
-  ReferenceTableau tableau(problem, eps);
-  return tableau.run();
 }
 
 }  // namespace mrwsn::lp

@@ -13,14 +13,15 @@
 /// The paper's available-bandwidth model (Eq. 6) and its clique-based upper
 /// bound (Eq. 9) are linear programs over schedule time shares: few rows
 /// (one per universe link plus the airtime budget) but column pools that
-/// grow into the thousands under column generation. The production engine
-/// is a sparse revised two-phase primal simplex — columns stored sparse, an
-/// LU factorization of the basis with product-form (eta-file) updates
-/// between pivots, periodic refactorization — whose per-iteration cost
-/// scales with the problem's nonzeros instead of the full tableau. The
-/// dense full-tableau simplex is retained as Engine::kDense, the
-/// differential reference the fuzz harness checks the revised method
-/// against. No external solver is used anywhere in the repository.
+/// grow into the thousands under column generation. The engine is a
+/// sparse revised two-phase primal simplex — columns stored sparse, an LU
+/// factorization of the basis with product-form (eta-file) updates between
+/// pivots, periodic refactorization — whose per-iteration cost scales with
+/// the problem's nonzeros instead of the full tableau. A cold solve that
+/// fails numerically is finished by an internal dense tableau (see
+/// Fallback::kNumerical); nothing selects that path directly. The
+/// reference tableau the engine is checked against lives with the tests,
+/// not here. No external solver is used anywhere in the repository.
 namespace mrwsn::lp {
 
 enum class Objective { kMaximize, kMinimize };
@@ -137,13 +138,7 @@ struct BasisEntry {
 /// basic).
 using Basis = std::vector<BasisEntry>;
 
-/// Which simplex implementation solve() runs.
-enum class Engine {
-  kRevised,  ///< sparse revised simplex (LU basis + eta-file updates)
-  kDense,    ///< dense full-tableau simplex (the differential reference)
-};
-
-/// Opaque cross-solve state of the revised engine: the LU factorization
+/// Opaque cross-solve state of the engine: the LU factorization
 /// (plus eta file) of the last optimal basis and the basis it belongs to.
 /// Pass the same context to a chain of warm-started re-solves of a growing
 /// problem (the column-generation master pattern: identical rows, columns
@@ -198,8 +193,10 @@ enum class Fallback : std::uint8_t {
   /// the optimal basis of a rows-appended/rhs-changed variant of this
   /// problem (e.g. columns or the objective changed too).
   kNotDualFeasible,
-  /// The revised engine failed numerically and the dense engine re-solved
-  /// the instance cold.
+  /// The engine failed numerically: a singular refactorization, eta drift,
+  /// or a dual pivot of the wrong sign. A failed warm or dual re-solve
+  /// falls back to the cold solve; a failed cold solve is finished by the
+  /// internal dense tableau, which keeps no factorization to go singular.
   kNumerical,
   /// The dual phase of a dual re-solve exceeded SolveOptions::
   /// dual_pivot_cap (a degenerate stall, not progress) and the solve went
@@ -233,29 +230,21 @@ struct SolveOptions {
   /// is skipped entirely; otherwise the solver silently falls back to the
   /// cold two-phase path.
   const Basis* warm_start = nullptr;
-  /// Simplex implementation. kRevised is the production engine; kDense is
-  /// the retained full-tableau reference (the revised engine also falls
-  /// back to it on the rare numerically singular refactorization).
-  Engine engine = Engine::kRevised;
-  /// Revised engine: refactorize the basis after this many eta updates.
-  /// Smaller values trade pivot speed for numerical hygiene.
-  std::size_t refactor_interval = 64;
-  /// Revised engine: optional cross-solve factorization cache (see
-  /// RevisedContext). Ignored by the dense engine.
+  /// Optional cross-solve factorization cache (see RevisedContext).
   RevisedContext* context = nullptr;
-  /// Dual-simplex row re-solve (revised engine only). Treat `warm_start`
-  /// as the optimal basis of this problem *before* it gained trailing rows
-  /// and/or changed right-hand sides: the basis is completed with the
-  /// slacks of the trailing rows (which keeps it dual feasible — the
-  /// extended basis matrix is block triangular, so the old duals extend
-  /// with zeros and no reduced cost moves; duals never depend on the rhs)
-  /// and a dual simplex phase restores primal feasibility from the
-  /// retained factorization instead of re-solving cold. The basis is
-  /// audited for dual feasibility on entry and anything else is rejected
-  /// to the cold path, so results never change. With only x >= 0 bounds in
-  /// this library (no finite uppers), the bound-flipping dual ratio test
-  /// degenerates to the standard one. The dense engine has no dual phase;
-  /// on numerical failure the instance falls back to a cold dense solve.
+  /// Dual-simplex row re-solve. Treat `warm_start` as the optimal basis of
+  /// this problem *before* it gained trailing rows and/or changed
+  /// right-hand sides: the basis is completed with the slacks of the
+  /// trailing rows (which keeps it dual feasible — the extended basis
+  /// matrix is block triangular, so the old duals extend with zeros and no
+  /// reduced cost moves; duals never depend on the rhs) and a dual simplex
+  /// phase restores primal feasibility from the retained factorization
+  /// instead of re-solving cold. The basis is audited for dual feasibility
+  /// on entry and anything else is rejected to the cold path, so results
+  /// never change. With only x >= 0 bounds in this library (no finite
+  /// uppers), the bound-flipping dual ratio test degenerates to the
+  /// standard one. A numerical failure in the dual phase falls back to the
+  /// cold solve (Fallback::kNumerical).
   bool dual_resolve = false;
   /// Pivot cap for the dual phase of a dual re-solve (0 = bounded only by
   /// max_pivots). A genuine rows-appended/rhs-changed re-solve lands
@@ -292,7 +281,7 @@ struct Solution {
   double dual(std::size_t constraint) const { return duals.at(constraint); }
 };
 
-/// Solve with a two-phase primal simplex (the revised engine by default).
+/// Solve with the sparse revised two-phase primal simplex.
 ///
 /// `eps` is the feasibility/optimality tolerance. The default is suited to
 /// the well-scaled problems this library produces (coefficients within a
@@ -301,11 +290,5 @@ Solution solve(const Problem& problem, double eps = 1e-9);
 
 /// Solve with explicit options (tolerance, pivot budget, warm-start basis).
 Solution solve(const Problem& problem, const SolveOptions& options);
-
-/// Solve with the pre-flattening vector-of-rows tableau, retained as the
-/// reference implementation for the parity test-suite and the before/after
-/// microbenchmarks. Same algorithm and pivot rules as solve(); only the
-/// tableau storage differs.
-Solution solve_reference(const Problem& problem, double eps = 1e-9);
 
 }  // namespace mrwsn::lp

@@ -1,20 +1,23 @@
-// Differential fuzz harness for the sparse revised simplex (the production
-// engine) against the retained dense tableau (the reference engine).
+// Differential fuzz harness for the sparse revised simplex (the engine
+// behind lp::solve) against the dense tableau test oracle (solve_reference
+// in tests/support).
 //
 // A seeded generator draws LP instances from five families — feasible
 // bounded, provably infeasible, provably unbounded, degenerate (duplicate
 // rows, zero-RHS rows, redundant equalities), and Eq. 6-shaped
 // column-generation masters (synthetic and extracted from a real scenario)
-// — and every instance is solved by BOTH engines. The harness asserts:
+// — and every instance is solved by BOTH the engine and the oracle. The
+// harness asserts:
 //
 //   * identical status (optimal / infeasible / unbounded),
 //   * objectives matching to 1e-6,
-//   * primal feasibility of each engine's solution against the Problem,
-//   * dual feasibility and complementary slackness of each engine's duals
-//     (the KKT certificate, which is what column generation prices from),
-//   * the warm-start path reaching the cold optimum on both engines after
-//     columns are appended (the column-generation re-solve pattern), with
-//     the revised engine additionally chained through its RevisedContext.
+//   * primal feasibility of each solution against the Problem,
+//   * dual feasibility and complementary slackness of each solution's
+//     duals (the KKT certificate, which is what column generation prices
+//     from),
+//   * the engine's warm-start path, chained through its RevisedContext,
+//     reaching the oracle's cold optimum after columns are appended (the
+//     column-generation re-solve pattern).
 //
 // Seed count: kSeedsPerFamily per family by default (>= 500 instances
 // total); override with MRWSN_FUZZ_SEEDS=<n> (n seeds per family) for
@@ -31,6 +34,7 @@
 
 #include "core/interference.hpp"
 #include "core/scenarios.hpp"
+#include "support/lp_reference.hpp"
 #include "util/rng.hpp"
 
 namespace mrwsn::lp {
@@ -126,25 +130,23 @@ void check_kkt(const Problem& problem, const Solution& solution,
   }
 }
 
-/// The core differential check: both engines, same status; on optimal,
-/// 1e-6 objectives and a full KKT certificate from each engine.
+/// The core differential check: engine and oracle, same status; on
+/// optimal, 1e-6 objectives and a full KKT certificate from each.
 void check_differential(const Problem& problem, const std::string& tag) {
-  SolveOptions dense_options;
-  dense_options.engine = Engine::kDense;
-  const Solution dense = solve(problem, dense_options);
-  const Solution revised = solve(problem);  // revised is the default engine
+  const Solution reference = solve_reference(problem);
+  const Solution revised = solve(problem);
 
-  ASSERT_EQ(dense.status, revised.status) << tag;
+  ASSERT_EQ(reference.status, revised.status) << tag;
   // Bland's rule termination: a pivot-budget blowout on these small
   // instances would mean the eta-update path cycles where the dense
   // tableau does not.
   ASSERT_NE(revised.status, Status::kIterationLimit) << tag;
-  if (dense.status != Status::kOptimal) return;
+  if (reference.status != Status::kOptimal) return;
 
-  EXPECT_NEAR(dense.objective, revised.objective, kObjectiveTol) << tag;
-  check_primal_feasible(problem, dense, tag + " [dense]");
+  EXPECT_NEAR(reference.objective, revised.objective, kObjectiveTol) << tag;
+  check_primal_feasible(problem, reference, tag + " [reference]");
   check_primal_feasible(problem, revised, tag + " [revised]");
-  check_kkt(problem, dense, tag + " [dense]");
+  check_kkt(problem, reference, tag + " [reference]");
   check_kkt(problem, revised, tag + " [revised]");
 }
 
@@ -381,10 +383,9 @@ Problem build_master(const std::vector<std::vector<double>>& sets,
 }
 
 /// The column-generation re-solve pattern, differentially: solve a
-/// restricted master, grow the column pool, warm-start both engines from
-/// the exported basis (the revised engine chained through its
-/// RevisedContext), and compare each round against a cold dense solve of
-/// the grown master.
+/// restricted master, grow the column pool, warm-start the engine from the
+/// exported basis (chained through its RevisedContext), and compare each
+/// round against the oracle's cold solve of the grown master.
 TEST(RevisedSimplexFuzz, WarmStartParityAfterAppendingColumns) {
   const std::size_t seeds = std::max<std::size_t>(seeds_per_family() / 2, 25);
   const double rates[] = {54.0, 36.0, 18.0, 6.0};
@@ -404,7 +405,7 @@ TEST(RevisedSimplexFuzz, WarmStartParityAfterAppendingColumns) {
     for (double& d : demand) d = rng.uniform(0.0, 1.5);
 
     RevisedContext context;
-    Basis revised_basis, dense_basis;
+    Basis revised_basis;
     for (std::size_t use = links + 2; use <= total_sets; use += 2) {
       const Problem problem = build_master(sets, use, links, demand);
       SolveOptions revised_options;
@@ -412,27 +413,16 @@ TEST(RevisedSimplexFuzz, WarmStartParityAfterAppendingColumns) {
       revised_options.warm_start =
           revised_basis.empty() ? nullptr : &revised_basis;
       const Solution revised = solve(problem, revised_options);
-
-      SolveOptions dense_options;
-      dense_options.engine = Engine::kDense;
-      dense_options.warm_start = dense_basis.empty() ? nullptr : &dense_basis;
-      const Solution dense = solve(problem, dense_options);
-
-      SolveOptions cold_options;
-      cold_options.engine = Engine::kDense;
-      const Solution cold = solve(problem, cold_options);
+      const Solution cold = solve_reference(problem);
 
       const std::string tag =
           "seed=" + std::to_string(seed) + " use=" + std::to_string(use);
       ASSERT_EQ(cold.status, revised.status) << tag;
-      ASSERT_EQ(cold.status, dense.status) << tag;
       if (cold.status != Status::kOptimal) break;
       EXPECT_NEAR(cold.objective, revised.objective, kObjectiveTol) << tag;
-      EXPECT_NEAR(cold.objective, dense.objective, kObjectiveTol) << tag;
       check_primal_feasible(problem, revised, tag + " [revised warm]");
       check_kkt(problem, revised, tag + " [revised warm]");
       revised_basis = revised.basis;
-      dense_basis = dense.basis;
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
@@ -454,9 +444,9 @@ Problem with_rhs(const Problem& base, const std::vector<double>& rhs) {
 /// Row-append family: the dual re-solve pattern, differentially. Solve a
 /// feasible instance, then tighten right-hand sides and append rows that
 /// mostly cut the old optimum — changes under which the stored basis stays
-/// dual feasible — and hold the dual-simplex re-solve to a cold dense
-/// solve of the grown problem: same status, 1e-6 objective parity, primal
-/// feasibility, and KKT on every instance. Instances that go infeasible
+/// dual feasible — and hold the dual-simplex re-solve to the oracle's
+/// cold solve of the grown problem: same status, 1e-6 objective parity,
+/// primal feasibility, and KKT on every instance. Instances that go infeasible
 /// after the cut are part of the family (the dual loop's Farkas exit).
 TEST(RevisedSimplexFuzz, DualResolveParityAfterAppendingRows) {
   const std::size_t seeds = std::max<std::size_t>(seeds_per_family() / 2, 25);
@@ -522,10 +512,7 @@ TEST(RevisedSimplexFuzz, DualResolveParityAfterAppendingRows) {
     SolveStats stats;
     dual_options.stats = &stats;
     const Solution warm = solve(grown, dual_options);
-
-    SolveOptions cold_options;
-    cold_options.engine = Engine::kDense;
-    const Solution cold = solve(grown, cold_options);
+    const Solution cold = solve_reference(grown);
 
     const std::string tag = "dual-resolve seed=" + std::to_string(seed);
     ASSERT_NE(warm.status, Status::kIterationLimit) << tag;
@@ -545,9 +532,9 @@ TEST(RevisedSimplexFuzz, DualResolveParityAfterAppendingRows) {
 }
 
 /// Beale's classic cycling LP (1955): Dantzig's most-improving rule cycles
-/// forever on this instance under exact arithmetic. The engines' permanent
-/// switch to Bland's rule must terminate it at the known optimum — on the
-/// revised engine this exercises anti-cycling under the eta-update path.
+/// forever on this instance under exact arithmetic. The permanent switch
+/// to Bland's rule must terminate it at the known optimum — on the revised
+/// engine this exercises anti-cycling under the eta-update path.
 TEST(RevisedSimplexFuzz, BealeCyclingInstanceTerminatesAtOptimum) {
   Problem problem(Objective::kMinimize);
   const VarId x1 = problem.add_variable(-0.75);
@@ -568,8 +555,8 @@ TEST(RevisedSimplexFuzz, BealeCyclingInstanceTerminatesAtOptimum) {
 }
 
 /// Eq. 6 master extracted from a real scenario (the Scenario II chain of
-/// the paper), solved by both engines: the one non-synthetic instance the
-/// ISSUE calls out by name, pinned to the analytically known optimum.
+/// the paper), solved by the engine and the oracle: the one non-synthetic
+/// instance of the harness, pinned to the analytically known optimum.
 TEST(RevisedSimplexFuzz, ScenarioTwoMasterParity) {
   const core::ScenarioTwo scenario = core::make_scenario_two();
   const auto sets = scenario.model.maximal_independent_sets(scenario.chain);

@@ -4,7 +4,9 @@
 
 #include <limits>
 #include <string>
+#include <vector>
 
+#include "support/lp_reference.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -596,6 +598,53 @@ TEST(SimplexDualResolve, TrailingEqualityRowIsRejectedToColdPath) {
   ASSERT_TRUE(warm.optimal());
   EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
   EXPECT_EQ(stats.fallback_reason, Fallback::kDualRejected);
+}
+
+/// A basis that is singular to working precision, reached by a legal
+/// pivot. 62 unit-box fillers (cost 10) enter first, then y1 (cost 2)
+/// enters the first coupling row. The coupling rows are y1 + 0.5 y2 <= 1
+/// and 1000 y1 + (500 + 4e-9) y2 <= 1000, so y1's entry leaves the second
+/// row degenerate at zero. y2 (cost 1.5) then prices in with a 4e-9 pivot
+/// element on that row: above the 1e-9 ratio-test tolerance, and ratio 0
+/// beats the first row's 2. The basis {y1, y2} has determinant 4e-9; its
+/// LU pivots on the 1000 and leaves a 4e-12 second pivot, below the 1e-9
+/// singularity threshold. That pivot is the 64th eta, so the periodic
+/// refactorization fails and the cold solve is handed to the dense
+/// tableau, which must still reach the optimum.
+TEST(SimplexNumericalRecovery, SingularRefactorizationIsSolvedByTheTableau) {
+  Problem p(Objective::kMaximize);
+  std::vector<VarId> fillers;
+  for (int i = 0; i < 62; ++i) fillers.push_back(p.add_variable(10.0));
+  const VarId y1 = p.add_variable(2.0);
+  const VarId y2 = p.add_variable(1.5);
+  for (VarId x : fillers) p.add_constraint({{x, 1.0}}, Sense::kLessEqual, 1.0);
+  p.add_constraint({{y1, 1.0}, {y2, 0.5}}, Sense::kLessEqual, 1.0);
+  p.add_constraint({{y1, 1000.0}, {y2, 500.0 + 4e-9}}, Sense::kLessEqual,
+                   1000.0);
+
+  RevisedContext context;
+  SolveStats stats;
+  SolveOptions options;
+  options.context = &context;
+  options.stats = &stats;
+  const Solution solution = solve(p, options);
+  EXPECT_EQ(stats.fallback_reason, Fallback::kNumerical);
+  EXPECT_TRUE(stats.cold);
+  // The tableau keeps no factorization to hand on.
+  EXPECT_TRUE(context.empty());
+
+  const Solution reference = solve_reference(p);
+  ASSERT_TRUE(reference.optimal());
+  EXPECT_NEAR(reference.objective, 623.0, 1e-6);
+  ASSERT_TRUE(solution.optimal());
+  EXPECT_NEAR(solution.objective, reference.objective, 1e-6);
+  ASSERT_EQ(solution.values.size(), p.num_variables());
+  for (std::size_t i = 0; i < p.num_constraints(); ++i) {
+    double lhs = 0.0;
+    for (const auto& [var, coeff] : p.rows()[i].terms)
+      lhs += coeff * solution.value(var);
+    EXPECT_LE(lhs, p.rows()[i].rhs + 1e-6) << "row " << i;
+  }
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 #
 #   1. tier-1: configure + build + full ctest suite (unit and example
 #      labels) in the standard build tree,
-#   2. fuzz: the differential LP fuzz suites (ctest label "fuzz") at a
-#      deeper seed count than the smoke run the suite includes,
+#   2. fuzz: the differential fuzz suites (ctest label "fuzz") at a
+#      deeper seed count than the smoke run the suite includes — the
+#      revised simplex against the test-only dense-tableau oracle
+#      (tests/support), and topology mutate-vs-rebuild,
 #   3. sanitized: a separate ASan+UBSan build tree running the full
 #      suite plus the fuzz harness again (skippable for quick local
 #      iterations — see below). This includes the tiered-pricing parity
@@ -23,7 +25,9 @@
 #      on the 100-node churn script plus BM_CommitLatency/{128,1024,8192},
 #      the per-pair kernels BM_ConflictMatrixBuild/{8,12} and
 #      BM_CliqueUpperBound, and the discrete-event kernels
-#      BM_CsmaParallel/{1,2,4,8} and BM_EventQueueChurn, with --require
+#      BM_CsmaParallel/{1,2,4,8} and BM_EventQueueChurn, plus the LP
+#      engine's own rows — BM_SimplexRandom, its oracle twin
+#      BM_SimplexReference, and BM_MasterResolveRevised — with --require
 #      coverage guards for every family.
 #
 # Stages 4 and 5 archive their median reports into BENCH_history/ (one
@@ -54,7 +58,7 @@ cmake -B "$BUILD" -S "$REPO"
 cmake --build "$BUILD" -j "$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
 
-echo "== ci stage 2: differential LP fuzz =="
+echo "== ci stage 2: differential fuzz (revised simplex vs test oracle) =="
 "$REPO/tools/run_fuzz.sh" "$BUILD" "${MRWSN_FUZZ_SEEDS:-2000}"
 
 if [ "${MRWSN_CI_SKIP_SANITIZED:-0}" = "1" ]; then
@@ -95,19 +99,21 @@ else
   # per couple pair on a fresh physical model: each link pair is asked once
   # per rate combination, the case the pair-limit memo exists for), the
   # Eq. 9 clique upper bound, the sharded CSMA simulator on the 500-node
-  # scaled Fig. 4 topology at 1/2/4/8 workers, and the event-queue churn
-  # kernel; the --require guards fail the gate if any of them silently
-  # drops out of the suite.
+  # scaled Fig. 4 topology at 1/2/4/8 workers, the event-queue churn
+  # kernel, and the simplex rows (random dense LPs against the oracle
+  # tableau, and the warm colgen-master replay); the --require guards fail
+  # the gate if any of them silently drops out of the suite.
   cmake --build "$BUILD" -j "$JOBS" --target perf_micro
   CHURN_JSON="$BUILD/bench_churn_ci.json"
   "$REPO/tools/bench_to_json.sh" "$CHURN_JSON" \
-    'BM_ChurnReadmit|BM_CommitLatency|BM_ConflictMatrixBuild|BM_CliqueUpperBound|BM_CsmaParallel|BM_EventQueueChurn$' \
+    'BM_ChurnReadmit|BM_CommitLatency|BM_ConflictMatrixBuild|BM_CliqueUpperBound|BM_CsmaParallel|BM_EventQueueChurn$|BM_SimplexRandom|BM_SimplexReference|BM_MasterResolveRevised' \
     "$BUILD/bench/perf_micro"
   "$REPO/tools/bench_compare.py" "$REPO/BENCH_results.json" "$CHURN_JSON" \
     --require BM_ChurnReadmitIncremental --require BM_ChurnReadmitRebuild \
     --require BM_CommitLatency --require BM_ConflictMatrixBuild \
     --require BM_CliqueUpperBound --require BM_CsmaParallel \
-    --require BM_EventQueueChurn
+    --require BM_EventQueueChurn --require BM_SimplexRandom \
+    --require BM_SimplexReference --require BM_MasterResolveRevised
   "$REPO/tools/bench_archive.py" "$CHURN_JSON" \
     --history "$REPO/BENCH_history" --label churn
 fi

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <optional>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -39,6 +40,9 @@ namespace mrwsn::cli {
 namespace {
 
 /// Tiny option parser: `--key value` pairs after the positional args.
+/// Every lookup marks its key as read; once a command has read all of its
+/// options it calls reject_unread(), so a misspelled or retired flag fails
+/// loudly instead of being dropped.
 class Options {
  public:
   Options(const std::vector<std::string>& args, std::size_t first) {
@@ -57,21 +61,35 @@ class Options {
   }
 
   std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     return it == values_.end() ? fallback : it->second;
   }
   double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     return it == values_.end() ? fallback : std::stod(it->second);
   }
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     return it == values_.end() ? fallback : std::stoull(it->second);
   }
-  bool has(const std::string& key) const { return values_.count(key) > 0; }
+  bool has(const std::string& key) const { return find(key) != values_.end(); }
+
+  /// Throw PreconditionError naming the first option no lookup asked for.
+  void reject_unread() const {
+    for (const auto& entry : values_)
+      MRWSN_REQUIRE(read_.count(entry.first) > 0,
+                    "unknown option " + entry.first);
+  }
 
  private:
+  std::map<std::string, std::string>::const_iterator find(
+      const std::string& key) const {
+    read_.insert(key);
+    return values_.find(key);
+  }
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 routing::Metric parse_metric(const std::string& name) {
@@ -116,6 +134,7 @@ int cmd_generate(const Options& options, std::ostream& out) {
   const std::uint64_t seed = options.get_u64("--seed", 1);
   const std::size_t num_flows = options.get_u64("--flows", 0);
   const double demand = options.get_double("--demand", 2.0);
+  options.reject_unread();
 
   Rng rng(seed);
   phy::PhyModel phy = phy::PhyModel::paper_default();
@@ -197,13 +216,6 @@ int cmd_available(const io::ScenarioFile& scenario, net::NodeId src,
     return 1;
   }
   core::ColumnGenOptions colgen_options;
-  const std::string engine_name = options.get("--engine", "revised");
-  if (engine_name == "dense") {
-    colgen_options.engine = lp::Engine::kDense;
-  } else if (engine_name != "revised") {
-    err << "unknown --engine '" << engine_name << "' (revised|dense)\n";
-    return 1;
-  }
   const std::string stabilize_name = options.get("--stabilize", "on");
   if (stabilize_name == "off") {
     colgen_options.stabilize = false;
@@ -229,6 +241,7 @@ int cmd_available(const io::ScenarioFile& scenario, net::NodeId src,
     }
     colgen_options.heuristic_starts = static_cast<std::size_t>(starts);
   }
+  options.reject_unread();
   const auto lp = core::max_path_bandwidth(model, background, path->links(),
                                            method, colgen_options);
   const auto input = core::make_path_estimate_input(network, model,
@@ -274,6 +287,7 @@ int cmd_admit(const io::ScenarioFile& scenario, const Options& options,
   routing::AdmissionController controller(
       network, model, parse_metric(options.get("--metric", "avg")));
   controller.set_policy(parse_policy(options.get("--policy", "lp")));
+  options.reject_unread();
   // The scenario's `flow` lines are traffic that is already in the network.
   controller.preload_background(background_of(scenario, network));
 
@@ -415,6 +429,7 @@ int cmd_batch(const io::ScenarioFile& scenario, const Options& options,
               std::ostream& out, std::ostream& err) {
   AdmissionService service(scenario, options);
   std::vector<BatchQuery> queries = parse_batch_file(options.get("--batch", ""));
+  options.reject_unread();
   for (BatchQuery& query : queries) query.path = service.route(query.src, query.dst);
 
   out << "id,src,dst,demand_mbps,decision,available_mbps,path\n";
@@ -561,6 +576,7 @@ int cmd_serve(const io::ScenarioFile& scenario, const Options& options,
   AdmissionService service(scenario, options, /*pooled=*/true);
   const auto readers =
       static_cast<std::size_t>(options.get_u64("--readers", 0));
+  options.reject_unread();
   std::mutex out_mu;
   std::unique_ptr<ServeReaders> async;
   if (readers > 0)
@@ -666,10 +682,6 @@ int cmd_bench_replay(const io::ScenarioFile& scenario, const Options& options,
   MRWSN_REQUIRE(trace_options.commit_fraction >= 0.0 &&
                     trace_options.commit_fraction <= 1.0,
                 "--commit-ratio must be within [0, 1]");
-  auto network = std::make_shared<net::Network>(io::build_network(scenario));
-  const benchx::ReplayTrace trace =
-      benchx::make_replay_trace(std::move(network), trace_options);
-
   std::vector<std::size_t> thread_counts;
   {
     std::istringstream list(options.get("--threads", "1,4"));
@@ -679,6 +691,10 @@ int cmd_bench_replay(const io::ScenarioFile& scenario, const Options& options,
     MRWSN_REQUIRE(!thread_counts.empty(), "--threads needs a list like 1,4");
   }
   const bool verify = options.get("--verify", "on") == "on";
+  options.reject_unread();
+  auto network = std::make_shared<net::Network>(io::build_network(scenario));
+  const benchx::ReplayTrace trace =
+      benchx::make_replay_trace(std::move(network), trace_options);
 
   out << "replay: " << trace.ops.size() << " ops ("
       << trace.evaluate_count() << " evaluates) over "
@@ -808,6 +824,7 @@ int cmd_mobility(const io::ScenarioFile& scenario, const Options& options,
   MRWSN_REQUIRE(!trace_file.empty(), "mobility needs --trace <file>");
   const io::MobilityTrace trace = io::load_mobility(trace_file);
   const bool verify = options.get("--verify", "off") == "on";
+  options.reject_unread();
 
   net::Network network = io::build_network(scenario);
   core::PhysicalInterferenceModel model(network);
@@ -891,14 +908,16 @@ int cmd_simulate(const io::ScenarioFile& scenario, const Options& options,
     err << "the scenario has no flow lines to simulate\n";
     return 1;
   }
-  const net::Network network = io::build_network(scenario);
   mac::MacParams params;
   params.enable_arf = options.has("--arf");
-  mac::CsmaSimulator sim(network, params, options.get_u64("--seed", 1));
+  const std::uint64_t seed = options.get_u64("--seed", 1);
+  const double seconds = options.get_double("--seconds", 2.0);
+  options.reject_unread();
+  const net::Network network = io::build_network(scenario);
+  mac::CsmaSimulator sim(network, params, seed);
   for (const net::Flow& flow : io::build_flows(scenario, network))
     sim.add_flow(flow.path.links(), flow.demand_mbps);
-  const mac::SimReport report =
-      sim.run(options.get_double("--seconds", 2.0));
+  const mac::SimReport report = sim.run(seconds);
 
   Table table({"flow", "offered [Mbps]", "delivered [Mbps]", "mean lat [ms]",
                "drops"});
@@ -932,6 +951,7 @@ int cmd_fig4(const Options& options, std::ostream& out) {
   const std::string rts = options.get("--rts", "both");
   MRWSN_REQUIRE(rts == "on" || rts == "off" || rts == "both",
                 "--rts must be on|off|both");
+  options.reject_unread();
   scaled.run_with_rts = rts != "off";
   scaled.run_without_rts = rts != "on";
   return benchx::run_scaled_fig4(scaled, out);
@@ -948,9 +968,8 @@ void usage(std::ostream& err) {
          "  mrwsn scenario unpack scenario.mrwb scenario.txt\n"
          "  mrwsn capacity scenario.txt <src> <dst>\n"
          "  mrwsn available scenario.txt <src> <dst> [--metric hop|td|avg]\n"
-         "                 [--method auto|enum|colgen] [--engine revised|dense]\n"
-         "                 [--stabilize on|off] [--pricing tiered|exact]\n"
-         "                 [--starts N]\n"
+         "                 [--method auto|enum|colgen] [--stabilize on|off]\n"
+         "                 [--pricing tiered|exact] [--starts N]\n"
          "  mrwsn admit scenario.txt [--metric avg] [--policy lp|eq13|...]\n"
          "  mrwsn admit scenario.txt --batch queries.csv [--metric hop]\n"
          "  mrwsn admit scenario.txt --serve [--metric hop] [--readers N]\n"
@@ -985,12 +1004,18 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
 
     MRWSN_REQUIRE(args.size() >= 2, command + " needs a scenario file");
     const io::ScenarioFile scenario = io::load_scenario(args[1]);
-    if (command == "info") return cmd_info(scenario, out);
+    if (command == "info") {
+      Options(args, 2).reject_unread();
+      return cmd_info(scenario, out);
+    }
     if (command == "capacity" || command == "available") {
       MRWSN_REQUIRE(args.size() >= 4, command + " needs <src> <dst>");
       const auto src = static_cast<net::NodeId>(std::stoull(args[2]));
       const auto dst = static_cast<net::NodeId>(std::stoull(args[3]));
-      if (command == "capacity") return cmd_capacity(scenario, src, dst, out, err);
+      if (command == "capacity") {
+        Options(args, 4).reject_unread();
+        return cmd_capacity(scenario, src, dst, out, err);
+      }
       return cmd_available(scenario, src, dst, Options(args, 4), out, err);
     }
     if (command == "admit") {

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Run the differential fuzz suites (ctest label "fuzz") with a configurable
-# seed count and wall-clock budget. The harness solves every generated LP
-# with both the dense tableau and the sparse revised simplex and asserts
-# status/objective parity plus the KKT certificate, so a longer run here
-# buys real coverage of the numerical core.
+# seed count and wall-clock budget. The LP harness solves every generated
+# LP with the sparse revised simplex and with the dense-tableau test oracle
+# (tests/support) and asserts status/objective parity plus the KKT
+# certificate, so a longer run here buys real coverage of the numerical
+# core.
 #
 # Usage: run_fuzz.sh [build-dir] [seeds-per-family] [timeout-seconds]
 #   build-dir          defaults to build/ (must be configured already)
