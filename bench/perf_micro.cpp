@@ -266,9 +266,7 @@ BENCHMARK(BM_MasterResolveRevised)
     ->Args({60, 10});
 
 // The 40-link chain, past BM_ColumnGen's sizes; the row name is kept so
-// its rounds/columns counters stay comparable across baselines. Two of its
-// cold master solves per run fail numerically in the revised engine and
-// are finished by lp::solve's internal dense tableau.
+// its rounds/columns counters stay comparable across baselines.
 void BM_ColumnGenRevised(benchmark::State& state) { BM_ColumnGen(state); }
 BENCHMARK(BM_ColumnGenRevised)->Arg(40);
 

@@ -4,6 +4,13 @@
 #
 #   1. tier-1: configure + build + full ctest suite (unit and example
 #      labels) in the standard build tree,
+#   1b. portable colgen pins: test_core built again in a second tree
+#      (<build-dir>-portable) with -DMRWSN_FAST_KERNELS=OFF (-O2, the
+#      compiler's baseline ISA, no -march=native), running the
+#      ColumnGeneration* and TieredPricing* suites. Their pinned round and
+#      column counts must match the tier-1 tree's: every build passes
+#      -ffp-contract=off, so the counts depend on the problem, not on
+#      the ISA or on FMA contraction,
 #   2. fuzz: the differential fuzz suites (ctest label "fuzz") at a
 #      deeper seed count than the smoke run the suite includes — the
 #      revised simplex against the test-only dense-tableau oracle
@@ -57,6 +64,12 @@ echo "== ci stage 1: tier-1 build + tests =="
 cmake -B "$BUILD" -S "$REPO"
 cmake --build "$BUILD" -j "$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
+
+echo "== ci stage 1b: colgen pins under portable flags (MRWSN_FAST_KERNELS=OFF) =="
+PORTABLE="${BUILD%/}-portable"
+cmake -B "$PORTABLE" -S "$REPO" -DMRWSN_FAST_KERNELS=OFF
+cmake --build "$PORTABLE" -j "$JOBS" --target test_core
+"$PORTABLE/tests/test_core" --gtest_filter='ColumnGeneration*:TieredPricing*'
 
 echo "== ci stage 2: differential fuzz (revised simplex vs test oracle) =="
 "$REPO/tools/run_fuzz.sh" "$BUILD" "${MRWSN_FUZZ_SEEDS:-2000}"
