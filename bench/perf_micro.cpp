@@ -926,6 +926,30 @@ BENCHMARK(BM_CsmaParallel)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// Construction alone on the same 500-node topology (the arg is its node
+// count): the physical model, and the one-region CSMA simulator whose
+// constructor builds the interaction-neighbourhood rows. Both read the
+// network's received-power table rather than recomputing path loss.
+void BM_PhysicalModelBuild(benchmark::State& state) {
+  const net::Network& network = parallel_bench_setup().setup.network;
+  for (auto _ : state) {
+    core::PhysicalInterferenceModel model(network);
+    benchmark::DoNotOptimize(model);
+  }
+}
+BENCHMARK(BM_PhysicalModelBuild)->Arg(500)->Unit(benchmark::kMicrosecond);
+
+void BM_CsmaBuild(benchmark::State& state) {
+  const net::Network& network = parallel_bench_setup().setup.network;
+  for (auto _ : state) {
+    mac::ShardParams shard;
+    shard.threads = 1;
+    mac::ParallelCsmaSimulator sim(network, mac::MacParams{}, shard, 4);
+    benchmark::DoNotOptimize(sim);
+  }
+}
+BENCHMARK(BM_CsmaBuild)->Arg(500)->Unit(benchmark::kMillisecond);
+
 void BM_CsmaSimulatedSecond(benchmark::State& state) {
   const net::Network network(geom::chain(4, 70.0), phy::PhyModel::paper_default());
   const std::vector<net::LinkId> path{*network.find_link(0, 1),

@@ -97,8 +97,8 @@ struct AdmissionEngineOptions {
 ///
 /// What is shared and owned where:
 ///  - The InterferenceModel (borrowed, must outlive the engine) owns the
-///    per-universe memos — ConflictMatrix, pricing contexts, rx-power
-///    tables. They are keyed by canonical universe and thread-safe, so
+///    per-universe memos — ConflictMatrix and pricing contexts. They are
+///    keyed by canonical universe and thread-safe, so
 ///    every query over a recurring universe pays the build cost once.
 ///  - The engine owns a persistent cross-query column pool: every column
 ///    the pricing oracle ever generated, deduplicated by (links, rates)

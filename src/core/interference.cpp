@@ -35,13 +35,6 @@ std::shared_ptr<const ConflictMatrix> InterferenceModel::conflict_matrix(
 // PhysicalInterferenceModel
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// 8 MB of doubles; every paper scenario is far below this.
-constexpr std::size_t kMaxEagerPowerEntries = std::size_t{1} << 20;
-
-}  // namespace
-
 void ModelRepair::normalize() {
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
@@ -50,42 +43,9 @@ void ModelRepair::normalize() {
 }
 
 PhysicalInterferenceModel::PhysicalInterferenceModel(const net::Network& network)
-    : network_(&network),
-      num_nodes_(network.num_nodes()),
-      pair_limits_(network.num_links()) {
-  if (num_nodes_ * num_nodes_ <= kMaxEagerPowerEntries) {
-    rx_power_.resize(num_nodes_ * num_nodes_);
-    for (net::NodeId from = 0; from < num_nodes_; ++from)
-      for (net::NodeId at = 0; at < num_nodes_; ++at)
-        rx_power_[from * num_nodes_ + at] = network.received_power(from, at);
-  }
-}
+    : network_(&network), pair_limits_(network.num_links()) {}
 
 void PhysicalInterferenceModel::repair(const ModelRepair& delta) {
-  const std::size_t n = network_->num_nodes();
-  if (n * n <= kMaxEagerPowerEntries) {
-    if (delta.nodes_added || rx_power_.size() != n * n) {
-      // The row stride changed (or the table was never eager): refill.
-      rx_power_.resize(n * n);
-      for (net::NodeId from = 0; from < n; ++from)
-        for (net::NodeId at = 0; at < n; ++at)
-          rx_power_[from * n + at] = network_->received_power(from, at);
-    } else {
-      // A mutated node changes the power it delivers everywhere (its row)
-      // and the power it receives from everyone (its column); nothing else.
-      for (const net::NodeId u : delta.nodes) {
-        MRWSN_REQUIRE(u < n, "repaired node id out of range");
-        for (net::NodeId v = 0; v < n; ++v) {
-          rx_power_[u * n + v] = network_->received_power(u, v);
-          rx_power_[v * n + u] = network_->received_power(v, u);
-        }
-      }
-    }
-  } else {
-    rx_power_.clear();  // fall back to per-query network lookups
-  }
-  num_nodes_ = n;
-
   std::vector<char> link_affected(network_->num_links(), 0);
   for (const net::LinkId link : delta.links) {
     MRWSN_REQUIRE(link < link_affected.size(),

@@ -141,7 +141,6 @@ class InterferenceModel {
 struct ModelRepair {
   std::vector<net::NodeId> nodes;  ///< mutated (moved/re-powered/joined/left)
   std::vector<net::LinkId> links;  ///< affected (incident or recapped/created)
-  bool nodes_added = false;        ///< the node count grew (rx table re-layout)
 
   /// Sort and deduplicate both id lists. TopologyDelta normalizes every
   /// repair before handing it out, so downstream consumers (model repair,
@@ -154,10 +153,13 @@ struct ModelRepair {
 /// Two links sharing a node can never transmit concurrently (single
 /// half-duplex radio per node).
 ///
+/// Every received power is read from the network's table
+/// (net::Network::received_power); the model keeps no copy.
+///
 /// Dynamic topologies: the referenced network may be mutated through
 /// core::TopologyDelta, which calls repair() after each batch of mutations
-/// so the rx-power table, pair-limit cache, and per-universe memos are
-/// patched (not rebuilt) to match. A repaired model answers every query
+/// so the pair-limit cache and per-universe memos are patched (not
+/// rebuilt) to match. A repaired model answers every query
 /// exactly as a fresh model over the mutated network would — the
 /// differential churn fuzz suite holds it to `==` parity.
 class PhysicalInterferenceModel final : public InterferenceModel {
@@ -165,10 +167,10 @@ class PhysicalInterferenceModel final : public InterferenceModel {
   explicit PhysicalInterferenceModel(const net::Network& network);
 
   /// Patch all derived state after the network mutations summarized in
-  /// `repair`: affected rx-power rows/columns are recomputed (full refill
-  /// only when the node count changed), pair limits of affected links are
-  /// forgotten, conflict matrices are patched in place, intersecting MIS
-  /// memos dropped, and pricing contexts re-derived at affected positions.
+  /// `repair`: pair limits of affected links are forgotten, conflict
+  /// matrices are patched in place, intersecting MIS memos dropped, and
+  /// pricing contexts re-derived at affected positions. (Received powers
+  /// need no repair: the network's mutators keep its table current.)
   /// Callers must serialize this against concurrent queries.
   void repair(const ModelRepair& delta);
 
@@ -204,21 +206,16 @@ class PhysicalInterferenceModel final : public InterferenceModel {
   /// occupies pair_limit_rows() x num_links() x 4 B.
   std::size_t pair_limit_rows() const { return pair_limits_.rows(); }
 
-  /// Received power at node `at` from node `from`, served from the eager
-  /// per-node-pair cache built at construction (falls back to the network
-  /// for pathologically large node counts).
+  /// Received power at node `at` from node `from`: the network's table.
   double rx_power(net::NodeId from, net::NodeId at) const {
-    return rx_power_.empty() ? network_->received_power(from, at)
-                             : rx_power_[from * num_nodes_ + at];
+    return network_->received_power(from, at);
   }
 
  private:
   bool shares_node(net::LinkId a, net::LinkId b) const;
 
   const net::Network* network_;  // non-owning; outlives the model
-  std::size_t num_nodes_ = 0;
-  std::vector<double> rx_power_;  // num_nodes^2, row-major by `from`
-  PairLimitCache pair_limits_;    // per link pair interferes() summary
+  PairLimitCache pair_limits_;   // per link pair interferes() summary
 };
 
 /// Table-driven pairwise interference for hand-built scenarios. A set with

@@ -159,7 +159,6 @@ ModelRepair TopologyDelta::add_node(geom::Point position) {
 
   ModelRepair repair;
   repair.nodes.push_back(node);
-  repair.nodes_added = true;
   discover_new_links(node, &repair);
   repair.normalize();
   model_->repair(repair);

@@ -389,7 +389,6 @@ struct ParallelCsmaSimulator::Impl {
   std::vector<FlowSpec> flows;
   std::vector<NodeState> nodes;
   std::vector<ArfState> arf;               // by link id; owner: link.tx
-  std::vector<double> link_rx_power;       // by link id
   std::vector<double> rate_airtime;        // DATA airtime by rate index
   std::vector<Neighbor> neighbors;  // CSR payload; rows grouped by region
   std::vector<std::uint32_t> neighbor_start;  // CSR offsets, size N+1
@@ -416,12 +415,8 @@ struct ParallelCsmaSimulator::Impl {
       nodes[i].rng = node_stream(seed, i);
     }
     arf.resize(network.num_links());
-    link_rx_power.resize(network.num_links());
-    for (net::LinkId id = 0; id < network.num_links(); ++id) {
+    for (net::LinkId id = 0; id < network.num_links(); ++id)
       arf[id].rate = network.link(id).best_rate_alone;
-      link_rx_power[id] =
-          network.received_power(network.link(id).tx, network.link(id).rx);
-    }
     const phy::RateTable& rates = network.phy().rates();
     rate_airtime.resize(rates.size());
     for (phy::RateIndex r = 0; r < rates.size(); ++r) {
@@ -434,8 +429,9 @@ struct ParallelCsmaSimulator::Impl {
     stats.resize(part.num_regions());
 
     // Interaction neighborhoods: everyone whose view a transmission by
-    // `i` can measurably move. Identical for every partitioning, so the
-    // cutoff never breaks determinism.
+    // `i` can measurably move — a scan of row `i` of the network's power
+    // table. Identical for every partitioning, so the cutoff never breaks
+    // determinism.
     const double floor_watt =
         shard.interaction_floor * network.phy().noise_watt();
     neighbor_start.assign(n + 1, 0);
@@ -551,36 +547,13 @@ struct ParallelCsmaSimulator::Impl {
     msg.link = link;
     msg.rate = rate;
     msg.a = a;
-    msg.b = power_between(n, rx);
+    msg.b = network.received_power(n, rx);
     if (packet != nullptr) {
       msg.flow = packet->flow;
       msg.hop = packet->hop;
       msg.a = packet->created_at;
     }
     core.post(part.region_of_node[n], msg);
-  }
-
-  /// Received power at `to` from `from` — the cached neighborhood value
-  /// when present (bit-identical to what SignalOn/Off deliver), the PHY
-  /// directly for sub-floor pairs. Searches the run of `to`'s region,
-  /// which is sorted by node.
-  double power_between(std::uint32_t from, std::uint32_t to) const {
-    const std::uint32_t region = part.region_of_node[to];
-    const Run* first = runs.data() + run_start[from];
-    const Run* last = runs.data() + run_start[from + 1];
-    const Run* run = std::lower_bound(
-        first, last, region, [&](const Run& r, std::uint32_t reg) {
-          return region_of_neighbor(r.lo) < reg;
-        });
-    if (run != last && region_of_neighbor(run->lo) == region) {
-      const Neighbor* lo = neighbors.data() + run->lo;
-      const Neighbor* hi = neighbors.data() + run->hi;
-      const Neighbor* it = std::lower_bound(
-          lo, hi, to,
-          [](const Neighbor& nb, std::uint32_t node) { return nb.node < node; });
-      if (it != hi && it->node == to) return it->power;
-    }
-    return network.received_power(from, to);
   }
 
   // ------------------------------------------------------- rate logic

@@ -1,8 +1,13 @@
 #include "net/network.hpp"
 
-#include "util/error.hpp"
-
 namespace mrwsn::net {
+
+namespace {
+
+// 8 MB of doubles; every paper scenario is far below this.
+constexpr std::size_t kMaxEagerPowerEntries = std::size_t{1} << 20;
+
+}  // namespace
 
 Network::Network(std::vector<geom::Point> positions, phy::PhyModel phy)
     : Network(std::move(positions), std::move(phy), phy::Shadowing(0.0, 0)) {}
@@ -20,7 +25,7 @@ Network::Network(std::vector<geom::Point> positions, phy::PhyModel phy,
   node_power_.assign(n, phy_.tx_power_watt());
   links_from_.assign(n, {});
   links_to_.assign(n, {});
-  by_pair_.assign(n, std::vector<std::optional<LinkId>>(n));
+  fill_power();
 
   for (NodeId tx = 0; tx < n; ++tx) {
     for (NodeId rx = 0; rx < n; ++rx) {
@@ -37,16 +42,11 @@ Network::Network(std::vector<geom::Point> positions, phy::PhyModel phy,
       link.length_m = geom::distance(nodes_[tx].position, nodes_[rx].position);
       link.best_rate_alone = *rate;
       link.best_mbps_alone = phy_.rates()[*rate].mbps;
-      by_pair_[tx][rx] = link.id;
       links_from_[tx].push_back(link.id);
       links_to_[rx].push_back(link.id);
       links_.push_back(link);
     }
   }
-}
-
-void Network::check_node(NodeId id) const {
-  MRWSN_REQUIRE(id < nodes_.size(), "node id out of range");
 }
 
 const Node& Network::node(NodeId id) const {
@@ -62,7 +62,9 @@ const Link& Network::link(LinkId id) const {
 std::optional<LinkId> Network::find_link(NodeId tx, NodeId rx) const {
   check_node(tx);
   check_node(rx);
-  return by_pair_[tx][rx];
+  for (const LinkId id : links_from_[tx])
+    if (links_[id].rx == rx) return id;
+  return std::nullopt;
 }
 
 const std::vector<LinkId>& Network::links_from(NodeId node) const {
@@ -81,23 +83,46 @@ double Network::distance(NodeId a, NodeId b) const {
   return geom::distance(nodes_[a].position, nodes_[b].position);
 }
 
-double Network::received_power(NodeId from, NodeId at) const {
+double Network::path_power(NodeId from, NodeId at) const {
   const double gain = shadowing_ ? shadowing_->gain(from, at) : 1.0;
   // Per-node power scales the pathloss-model power (which assumes the
   // radio's nominal transmit power) linearly.
   const double scale = node_power_[from] / phy_.tx_power_watt();
-  return gain * scale * phy_.received_power(distance(from, at));
+  return gain * scale *
+         phy_.received_power(
+             geom::distance(nodes_[from].position, nodes_[at].position));
+}
+
+void Network::fill_power() {
+  const std::size_t n = nodes_.size();
+  power_.clear();
+  if (n * n > kMaxEagerPowerEntries) return;
+  power_.resize(n * n);
+  for (NodeId from = 0; from < n; ++from)
+    for (NodeId at = 0; at < n; ++at)
+      power_[from * n + at] = path_power(from, at);
 }
 
 void Network::set_position(NodeId id, geom::Point position) {
   check_node(id);
   nodes_[id].position = position;
+  if (power_.empty()) return;
+  // A moved node changes the power it delivers everywhere (its row) and
+  // the power it receives from everyone (its column); nothing else.
+  const std::size_t n = nodes_.size();
+  for (NodeId v = 0; v < n; ++v) {
+    power_[id * n + v] = path_power(id, v);
+    power_[v * n + id] = path_power(v, id);
+  }
 }
 
 void Network::set_node_tx_power(NodeId id, double tx_power_watt) {
   check_node(id);
   MRWSN_REQUIRE(tx_power_watt > 0.0, "node tx power must be positive");
   node_power_[id] = tx_power_watt;
+  if (power_.empty()) return;
+  const std::size_t n = nodes_.size();
+  for (NodeId v = 0; v < n; ++v) power_[id * n + v] = path_power(id, v);
 }
 
 double Network::node_tx_power(NodeId id) const {
@@ -111,8 +136,7 @@ NodeId Network::add_node(geom::Point position) {
   node_power_.push_back(phy_.tx_power_watt());
   links_from_.emplace_back();
   links_to_.emplace_back();
-  for (auto& row : by_pair_) row.emplace_back();
-  by_pair_.emplace_back(nodes_.size());
+  fill_power();  // the row stride changed
   return id;
 }
 
@@ -141,7 +165,7 @@ std::optional<Network::LinkRefresh> Network::refresh_link(NodeId tx,
     rate = phy_.rates().max_supported(pr, phy_.sinr(pr, 0.0));
   }
 
-  const std::optional<LinkId> existing = by_pair_[tx][rx];
+  const std::optional<LinkId> existing = find_link(tx, rx);
   if (!existing) {
     if (!rate) return std::nullopt;
     Link link;
@@ -151,7 +175,6 @@ std::optional<Network::LinkRefresh> Network::refresh_link(NodeId tx,
     link.length_m = distance(tx, rx);
     link.best_rate_alone = *rate;
     link.best_mbps_alone = phy_.rates()[*rate].mbps;
-    by_pair_[tx][rx] = link.id;
     links_from_[tx].push_back(link.id);
     links_to_[rx].push_back(link.id);
     links_.push_back(link);

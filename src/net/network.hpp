@@ -7,6 +7,7 @@
 #include "geom/point.hpp"
 #include "phy/phy_model.hpp"
 #include "phy/shadowing.hpp"
+#include "util/error.hpp"
 
 namespace mrwsn::net {
 
@@ -45,10 +46,18 @@ struct Link {
 /// A network: node placement + physical layer + every directed link the
 /// PHY admits. This is the substrate every higher layer works on.
 ///
+/// The network owns the one received-power table of the program: every
+/// node pair's power (n^2 doubles, row-major by transmitter), filled at
+/// construction and read by the SINR tests of the interference model and
+/// the carrier-sense decisions of the simulators alike. Above 2^20 entries
+/// (more than 1,024 nodes) no table is kept and each power is computed on
+/// demand; the values are the same either way.
+///
 /// The network is immutable under normal operation; the dynamic-topology
 /// surface below (set_position/add_node/... + refresh_link) is driven
 /// exclusively by core::TopologyDelta, which keeps the derived state of
 /// every interference model built on top consistent with each mutation.
+/// The power table is kept current by the mutators themselves.
 class Network {
  public:
   Network(std::vector<geom::Point> positions, phy::PhyModel phy);
@@ -71,7 +80,7 @@ class Network {
   const std::vector<Link>& links() const { return links_; }
 
   /// The link from `tx` to `rx`, if one has ever been admitted (it may be
-  /// dead — check link(id).alive).
+  /// dead — check link(id).alive). Scans links_from(tx).
   std::optional<LinkId> find_link(NodeId tx, NodeId rx) const;
 
   /// Links whose transmitter is `node` (alive and dead alike).
@@ -84,28 +93,36 @@ class Network {
   double distance(NodeId a, NodeId b) const;
 
   /// Received power at node `at` from a transmission by node `from`, at
-  /// `from`'s per-node transmit power.
-  double received_power(NodeId from, NodeId at) const;
+  /// `from`'s per-node transmit power (and the pair's shadowing gain).
+  double received_power(NodeId from, NodeId at) const {
+    check_node(from);
+    check_node(at);
+    return power_.empty() ? path_power(from, at)
+                          : power_[from * nodes_.size() + at];
+  }
 
   // --- Dynamic-topology surface (see class comment) -----------------------
 
-  /// Move a node. Does NOT touch links: the caller must refresh_link every
-  /// pair whose decodability or length the move can change (TopologyDelta
-  /// localizes that set with a geom::SpatialGrid).
+  /// Move a node, rewriting its row and column of the power table. Does
+  /// NOT touch links: the caller must refresh_link every pair whose
+  /// decodability or length the move can change (TopologyDelta localizes
+  /// that set with a geom::SpatialGrid).
   void set_position(NodeId id, geom::Point position);
 
   /// Per-node transmit power in watts (defaults to the PHY's radio power).
   /// Affects every transmission from the node — link rates, interference,
-  /// and carrier sensing alike. Caller refreshes outgoing links.
+  /// and carrier sensing alike — so its power-table row is rewritten.
+  /// Caller refreshes outgoing links.
   void set_node_tx_power(NodeId id, double tx_power_watt);
   double node_tx_power(NodeId id) const;
 
-  /// Append a node (id = previous num_nodes()). No links until the caller
-  /// refreshes the pairs the new node can reach.
+  /// Append a node (id = previous num_nodes()) and refill the power table
+  /// at the new size. No links until the caller refreshes the pairs the new
+  /// node can reach.
   NodeId add_node(geom::Point position);
 
   /// Mark a node dead/alive. Caller refreshes incident links (refresh_link
-  /// kills links with a dead endpoint).
+  /// kills links with a dead endpoint). Received power ignores liveness.
   void set_node_alive(NodeId id, bool alive);
 
   /// Cap a link's fastest usable rate (0 = unrestricted).
@@ -127,7 +144,15 @@ class Network {
   std::optional<LinkRefresh> refresh_link(NodeId tx, NodeId rx);
 
  private:
-  void check_node(NodeId id) const;
+  void check_node(NodeId id) const {
+    MRWSN_REQUIRE(id < nodes_.size(), "node id out of range");
+  }
+
+  /// The path-loss power from `from` at `at`, computed (no table).
+  double path_power(NodeId from, NodeId at) const;
+
+  /// Refill the whole power table, or drop it above the size cap.
+  void fill_power();
 
   std::vector<Node> nodes_;
   phy::PhyModel phy_;
@@ -136,7 +161,7 @@ class Network {
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> links_from_;        // by tx node
   std::vector<std::vector<LinkId>> links_to_;          // by rx node
-  std::vector<std::vector<std::optional<LinkId>>> by_pair_;  // [tx][rx]
+  std::vector<double> power_;  // [from * n + at]; empty above the cap
 };
 
 }  // namespace mrwsn::net

@@ -10,7 +10,9 @@
 // model) and after EVERY mutation asserts exact (==) parity against a
 // from-scratch rebuild:
 //
-//   * the rx-power table (every node pair),
+//   * received power for every node pair (both models read the one
+//     network table; tests/core/topology_delta_test.cpp checks that table
+//     against a network built fresh from the final state),
 //   * per-link lone rates and usable (link, rate) couples,
 //   * the full ConflictMatrix over the whole link universe — couples,
 //     conflict bits, and compat bits,

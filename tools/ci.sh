@@ -112,19 +112,21 @@ else
   # per couple pair on a fresh physical model: each link pair is asked once
   # per rate combination, the case the pair-limit memo exists for), the
   # Eq. 9 clique upper bound, the sharded CSMA simulator on the 500-node
-  # scaled Fig. 4 topology at 1/2/4/8 workers, the event-queue churn
+  # scaled Fig. 4 topology at 1/2/4/8 workers, the physical-model and
+  # CSMA-simulator constructors on that topology, the event-queue churn
   # kernel, and the simplex rows (random dense LPs against the oracle
   # tableau, and the warm colgen-master replay); the --require guards fail
   # the gate if any of them silently drops out of the suite.
   cmake --build "$BUILD" -j "$JOBS" --target perf_micro
   CHURN_JSON="$BUILD/bench_churn_ci.json"
   "$REPO/tools/bench_to_json.sh" "$CHURN_JSON" \
-    'BM_ChurnReadmit|BM_CommitLatency|BM_ConflictMatrixBuild|BM_CliqueUpperBound|BM_CsmaParallel|BM_EventQueueChurn$|BM_SimplexRandom|BM_SimplexReference|BM_MasterResolveRevised' \
+    'BM_ChurnReadmit|BM_CommitLatency|BM_ConflictMatrixBuild|BM_CliqueUpperBound|BM_CsmaParallel|BM_PhysicalModelBuild|BM_CsmaBuild|BM_EventQueueChurn$|BM_SimplexRandom|BM_SimplexReference|BM_MasterResolveRevised' \
     "$BUILD/bench/perf_micro"
   "$REPO/tools/bench_compare.py" "$REPO/BENCH_results.json" "$CHURN_JSON" \
     --require BM_ChurnReadmitIncremental --require BM_ChurnReadmitRebuild \
     --require BM_CommitLatency --require BM_ConflictMatrixBuild \
     --require BM_CliqueUpperBound --require BM_CsmaParallel \
+    --require BM_PhysicalModelBuild --require BM_CsmaBuild \
     --require BM_EventQueueChurn --require BM_SimplexRandom \
     --require BM_SimplexReference --require BM_MasterResolveRevised
   "$REPO/tools/bench_archive.py" "$CHURN_JSON" \
